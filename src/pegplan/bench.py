@@ -31,6 +31,7 @@ from .planner import BudgetExceededError
 
 __all__ = [
     "DEFAULT_ELIGIBLE_KINDS",
+    "MAX_SWEEP_PROBES",
     "PerturbSpec",
     "RunRecord",
     "SweepRecord",
@@ -47,6 +48,10 @@ __all__ = [
 DEFAULT_ELIGIBLE_KINDS = frozenset(
     {FeatureKind.PRECONDITION, FeatureKind.ADD_EFFECT, FeatureKind.DELETE_EFFECT}
 )
+
+# Largest missing-probability grid a sweep accepts; each probe is a full
+# progressive search, so a finer grid is a typo rather than a study.
+MAX_SWEEP_PROBES = 1000
 
 _PERTURBABLE_KINDS = frozenset(
     {
@@ -291,7 +296,9 @@ def sweep_missing_prob(
 
     The grid is computed with exact rationals from the decimal strings of
     the bounds, so ``0.06..0.14`` by ``0.01`` yields exactly nine probes.
-    Probe ``i`` uses seed ``seed + i``.
+    Probe ``i`` uses seed ``seed + i``.  A grid of more than
+    :data:`MAX_SWEEP_PROBES` probes raises :class:`ValueError` before any
+    probe runs.
     """
     robot = domain if isinstance(domain, Model) else ground(domain, problem)
     lo = Fraction(str(p_lo))
@@ -299,6 +306,11 @@ def sweep_missing_prob(
     step = Fraction(str(p_step))
     if step <= 0 or hi < lo:
         raise ValueError("expected p_lo <= p_hi and a positive step")
+    probes = (hi - lo) // step + 1
+    if probes > MAX_SWEEP_PROBES:
+        raise ValueError(
+            f"the sweep grid has {probes} probes; at most {MAX_SWEEP_PROBES} are allowed"
+        )
     records = []
     i = 0
     p = lo

@@ -61,6 +61,29 @@ def _node_budget(args) -> int | None:
         raise _CliError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
 
 
+def _epsilon(args) -> Fraction:
+    try:
+        value = Fraction(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise _CliError(
+            f"--epsilon must be an exact rational such as 1/1000, got {args.epsilon!r}"
+        ) from None
+    if value < 0:
+        raise _CliError(f"--epsilon must be non-negative, got {args.epsilon!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -202,6 +225,7 @@ def _build_problem(args) -> ReconciliationProblem:
 
 
 def _cmd_explain(args) -> int:
+    epsilon = _epsilon(args)
     problem = _build_problem(args)
     metric = MetricKind.from_name(args.metric)
     if args.mode == "concise":
@@ -211,7 +235,7 @@ def _cmd_explain(args) -> int:
             problem,
             metric=metric,
             variant=args.variant,
-            epsilon=Fraction(args.epsilon),
+            epsilon=epsilon,
             node_budget=_node_budget(args),
         )
     _write_output(args, _trace_output(args, trace))
@@ -223,8 +247,21 @@ def _read_changes(path: str):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
-        raw = payload.get("changes", [])
-        return [parse_change(f"{c['direction']} {c['feature']}") for c in raw]
+        raw = payload.get("changes", []) if isinstance(payload, dict) else None
+        if not isinstance(raw, list):
+            raise _CliError(f"{path}: 'changes' must be a list")
+        changes = []
+        for i, c in enumerate(raw):
+            if not (
+                isinstance(c, dict)
+                and isinstance(c.get("direction"), str)
+                and isinstance(c.get("feature"), str)
+            ):
+                raise _CliError(
+                    f"{path}: change {i} needs string 'direction' and 'feature' fields"
+                )
+            changes.append(parse_change(f"{c['direction']} {c['feature']}"))
+        return changes
     changes = []
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
@@ -271,6 +308,7 @@ def _report_output(args, report) -> str:
 
 
 def _cmd_bench(args) -> int:
+    epsilon = _epsilon(args)
     robot = _load_robot(args)
     spec = PerturbSpec(args.missing_prob, args.seed, _eligible_kinds(args))
     report = run_comparison(
@@ -279,7 +317,7 @@ def _cmd_bench(args) -> int:
         metric=MetricKind.from_name(args.metric),
         variant=args.variant,
         runs=args.runs,
-        epsilon=Fraction(args.epsilon),
+        epsilon=epsilon,
         node_budget=_node_budget(args),
     )
     _write_output(args, _report_output(args, report))
@@ -287,6 +325,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    epsilon = _epsilon(args)
     robot = _load_robot(args)
     report = sweep_missing_prob(
         robot,
@@ -297,7 +336,7 @@ def _cmd_sweep(args) -> int:
         metric=MetricKind.from_name(args.metric),
         variant=args.variant,
         eligible_kinds=_eligible_kinds(args),
-        epsilon=Fraction(args.epsilon),
+        epsilon=epsilon,
         node_budget=_node_budget(args),
     )
     _write_output(args, _report_output(args, report))
@@ -360,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problem", dest="robot_problem", help="robot PDDL problem file")
     p_bench.add_argument("--fixture", help="native fixture file (robot model)")
     p_bench.add_argument("--missing-prob", type=float, default=0.1)
-    p_bench.add_argument("--runs", type=int, default=10)
+    p_bench.add_argument("--runs", type=_positive_int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--eligible-kinds", default="",
                          help="comma-separated feature kinds to perturb")

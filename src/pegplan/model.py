@@ -167,6 +167,27 @@ class Model:
                     + ", ".join(sorted(f.render() for f in missing))
                 )
 
+    @classmethod
+    def _derive(
+        cls,
+        facts: frozenset[Fact],
+        actions: tuple[GroundAction, ...],
+        init: frozenset[Fact],
+        goal: frozenset[Fact],
+    ) -> "Model":
+        """A model from parts already known to be valid, skipping the checks.
+
+        The caller guarantees what ``__post_init__`` would establish: frozen
+        fact sets, actions sorted by unique name, and every referenced fact
+        inside ``facts``.
+        """
+        model = object.__new__(cls)
+        object.__setattr__(model, "facts", facts)
+        object.__setattr__(model, "actions", actions)
+        object.__setattr__(model, "init", init)
+        object.__setattr__(model, "goal", goal)
+        return model
+
     def action(self, name: str) -> GroundAction:
         for act in self.actions:
             if act.name == name:
@@ -416,12 +437,28 @@ def model_distance(m1: Model, m2: Model) -> int:
     return len(delta(m1, m2))
 
 
+def _action_index(model: Model, name: str) -> int:
+    for i, act in enumerate(model.actions):
+        if act.name == name:
+            return i
+    raise InvalidEditError(f"model has no action named {name!r}")
+
+
+def _with_action(model: Model, i: int, action: GroundAction) -> Model:
+    """``model`` with its i-th action swapped for ``action`` of the same name,
+    whose facts the caller has checked to lie in the universe."""
+    actions = model.actions[:i] + (action,) + model.actions[i + 1:]
+    return Model._derive(model.facts, actions, model.init, model.goal)
+
+
 def apply_change(model: Model, change: FeatureChange) -> Model:
     """Apply one unit change, returning a new model.
 
     Raises :class:`ChangePreconditionError` if the feature is already in the
     asserted state, and :class:`InvalidEditError` if the edit would leave the
-    model invalid (unknown action, unknown fact, overlapping effects).
+    model invalid (unknown action, unknown fact, overlapping effects).  The
+    checks here cover everything an edit can break, so the result is derived
+    from ``model`` without revalidating the parts the edit left alone.
     """
     feat = change.feature
     adding = change.direction == "add"
@@ -431,14 +468,14 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
             raise InvalidEditError(
                 f"cannot remove {feat.render()}: cost features are replace-only"
             )
-        try:
-            act = model.action(feat.owner)
-        except KeyError:
-            raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
+        i = _action_index(model, feat.owner)
+        act = model.actions[i]
         if act.cost == feat.cost:
             raise ChangePreconditionError(f"{feat.render()} is already present")
-        return model.replace_action(
-            GroundAction(act.name, act.preconditions, act.add_effects, act.delete_effects, feat.cost)
+        return _with_action(
+            model,
+            i,
+            GroundAction(act.name, act.preconditions, act.add_effects, act.delete_effects, feat.cost),
         )
 
     if feat.fact not in model.facts:
@@ -454,13 +491,11 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
             raise ChangePreconditionError(f"{feat.render()} is absent")
         updated = current | {feat.fact} if adding else current - {feat.fact}
         if feat.kind is FeatureKind.INIT:
-            return Model(model.facts, model.actions, updated, model.goal)
-        return Model(model.facts, model.actions, model.init, updated)
+            return Model._derive(model.facts, model.actions, updated, model.goal)
+        return Model._derive(model.facts, model.actions, model.init, updated)
 
-    try:
-        act = model.action(feat.owner)
-    except KeyError:
-        raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
+    i = _action_index(model, feat.owner)
+    act = model.actions[i]
     slot = {
         FeatureKind.PRECONDITION: act.preconditions,
         FeatureKind.ADD_EFFECT: act.add_effects,
@@ -482,4 +517,4 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
         new_act = GroundAction(act.name, pre, addf, delf, act.cost)
     except ModelError as exc:
         raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
-    return model.replace_action(new_act)
+    return _with_action(model, i, new_act)

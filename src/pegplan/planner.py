@@ -5,17 +5,30 @@ so the first goal expansion is cost-optimal.  Ties are broken
 deterministically: lower f, then lower h, then the lexicographically
 smallest action-name path, which makes the returned plan a stable canonical
 choice for a given model.
+
+States are bitmasks over the model's fact universe.  Every model of a
+reconciliation problem shares one universe, so its bit order (facts sorted
+by rendered string) is computed once per universe and kept in a small
+cache, together with each action's precondition/add/delete masks; a search
+node that edits one action costs one new set of masks, not a recompile.
+
+h-max (Bonet & Geffner, "Planning as Heuristic Search", AIJ 2001) is
+computed by sweeping the relaxed actions level by level over the reached
+mask instead of running Dijkstra over facts.  For non-negative integer
+costs both give the same value on every state, so the A* keys, tie-breaks,
+plans and search counters are those of the fact-level computation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappush, heappop
 from math import inf
 from typing import Iterable, Sequence
 
-from .model import Fact, Model
+from .model import Fact, GroundAction, Model
 
 __all__ = [
     "Plan",
@@ -68,101 +81,120 @@ class ValidationResult:
     failed_index: int | None = None
 
 
-class _Compiled:
-    """Bitmask encoding of a model for the search inner loop."""
+# Distinct fact universes kept compiled at once.  Every model of a
+# reconciliation problem shares one universe, so a handful covers any caller.
+_UNIVERSES_KEPT = 4
+# Distinct actions whose masks one universe remembers before it starts over.
+# A search node differs from its parent in at most one action, so a whole
+# rover lattice search needs about 200; the cap only bounds memory.
+_ACTION_MASKS_KEPT = 1024
 
-    __slots__ = (
-        "facts",
-        "index",
-        "names",
-        "costs",
-        "pre_masks",
-        "add_masks",
-        "del_masks",
-        "pre_idx",
-        "add_idx",
-        "consumers",
-        "no_pre",
-        "init_mask",
-        "goal_mask",
-        "goal_idx",
-    )
+
+class _Universe:
+    """Bit assignment of one fact universe, with memoized action masks.
+
+    Facts get bits in the order of their rendered strings.
+    """
+
+    __slots__ = ("facts", "bit", "action_masks")
+
+    def __init__(self, facts: frozenset[Fact]):
+        self.facts = tuple(sorted(facts, key=lambda f: f.render()))
+        self.bit = {f: 1 << i for i, f in enumerate(self.facts)}
+        self.action_masks: dict[GroundAction, tuple[int, int, int]] = {}
+
+    def mask(self, facts: Iterable[Fact]) -> int:
+        bit = self.bit
+        m = 0
+        for f in facts:
+            m |= bit[f]
+        return m
+
+    def masks(self, act: GroundAction) -> tuple[int, int, int]:
+        """The (pre, add, del) masks of an action over this universe."""
+        got = self.action_masks.get(act)
+        if got is None:
+            if len(self.action_masks) >= _ACTION_MASKS_KEPT:
+                self.action_masks.clear()
+            got = (
+                self.mask(act.preconditions),
+                self.mask(act.add_effects),
+                self.mask(act.delete_effects),
+            )
+            self.action_masks[act] = got
+        return got
+
+
+@lru_cache(maxsize=_UNIVERSES_KEPT)
+def _universe(facts: frozenset[Fact]) -> _Universe:
+    return _Universe(facts)
+
+
+class _Compiled:
+    """Bitmask encoding of a model for the search inner loop.
+
+    ``ops`` holds one (pre, add, keep, cost, name) tuple per action in model
+    order, where ``keep`` clears the delete effects; ``relaxed`` holds the
+    (pre, add, cost) triples of the actions that add anything, which are all
+    that h-max needs.
+    """
+
+    __slots__ = ("facts", "ops", "relaxed", "init_mask", "goal_mask")
 
     def __init__(self, model: Model):
-        self.facts = sorted(model.facts, key=lambda f: f.render())
-        self.index = {f: i for i, f in enumerate(self.facts)}
-        self.names = []
-        self.costs = []
-        self.pre_masks = []
-        self.add_masks = []
-        self.del_masks = []
-        self.pre_idx = []
-        self.add_idx = []
-        self.consumers = [[] for _ in self.facts]
-        self.no_pre = []
-        for ai, act in enumerate(model.actions):
-            self.names.append(act.name)
-            self.costs.append(act.cost)
-            pre = sorted(self.index[f] for f in act.preconditions)
-            add = sorted(self.index[f] for f in act.add_effects)
-            dele = sorted(self.index[f] for f in act.delete_effects)
-            self.pre_masks.append(_mask(pre))
-            self.add_masks.append(_mask(add))
-            self.del_masks.append(_mask(dele))
-            self.pre_idx.append(pre)
-            self.add_idx.append(add)
-            for p in pre:
-                self.consumers[p].append(ai)
-            if not pre:
-                self.no_pre.append(ai)
-        self.init_mask = _mask(self.index[f] for f in model.init)
-        self.goal_mask = _mask(self.index[f] for f in model.goal)
-        self.goal_idx = sorted(self.index[f] for f in model.goal)
-
-
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+        universe = _universe(model.facts)
+        self.facts = universe.facts
+        self.ops = []
+        self.relaxed = []
+        for act in model.actions:
+            pre, add, dele = universe.masks(act)
+            self.ops.append((pre, add, ~dele, act.cost, act.name))
+            if add:
+                self.relaxed.append((pre, add, act.cost))
+        self.init_mask = universe.mask(model.init)
+        self.goal_mask = universe.mask(model.goal)
 
 
 def _hmax(c: _Compiled, state: int) -> float:
-    """Max-cost delete-relaxation estimate of reaching the goal from state."""
-    if not c.goal_idx:
+    """Max-cost delete-relaxation estimate of reaching the goal from state.
+
+    Reachability is swept level by level: at level L every action whose
+    preconditions are all reached fires once, adding its effects at level
+    L + cost (zero-cost effects join level L, which is swept again until
+    nothing grows).  A fact's level is then its h-max cost, and the estimate
+    is the first level at which the whole goal is reached, or inf.
+    """
+    goal = c.goal_mask
+    reached = state
+    if reached & goal == goal:
         return 0
-    costs = [inf] * len(c.facts)
-    heap: list[tuple[int, int]] = []
-    for i in range(len(c.facts)):
-        if state >> i & 1:
-            costs[i] = 0
-            heappush(heap, (0, i))
-    unsat = [len(p) for p in c.pre_idx]
-    for ai in c.no_pre:
-        trigger = c.costs[ai]
-        for g in c.add_idx[ai]:
-            if trigger < costs[g]:
-                costs[g] = trigger
-                heappush(heap, (trigger, g))
-    while heap:
-        cost, fact = heappop(heap)
-        if cost > costs[fact]:
+    level = 0
+    waiting = c.relaxed
+    scheduled: dict[int, int] = {}  # level -> facts due to be added at it
+    while True:
+        unfired = []
+        grew = False
+        for act in waiting:
+            pre, add, cost = act
+            if reached & pre != pre:
+                unfired.append(act)
+            elif cost:
+                at = level + cost
+                scheduled[at] = scheduled.get(at, 0) | add
+            elif add & ~reached:
+                reached |= add
+                grew = True
+        waiting = unfired
+        if grew:
+            if reached & goal == goal:
+                return level
             continue
-        for ai in c.consumers[fact]:
-            unsat[ai] -= 1
-            if unsat[ai] == 0:
-                trigger = cost + c.costs[ai]
-                for g in c.add_idx[ai]:
-                    if trigger < costs[g]:
-                        costs[g] = trigger
-                        heappush(heap, (trigger, g))
-    h = 0
-    for g in c.goal_idx:
-        if costs[g] is inf:
+        if not scheduled:
             return inf
-        if costs[g] > h:
-            h = costs[g]
-    return h
+        level = min(scheduled)
+        reached |= scheduled.pop(level)
+        if reached & goal == goal:
+            return level
 
 
 def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
@@ -181,16 +213,8 @@ def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
     expansions = 0
     generated = 0
 
-    h_cache: dict[int, float] = {}
-
-    def h_of(state: int) -> float:
-        h = h_cache.get(state)
-        if h is None:
-            h = _hmax(c, state)
-            h_cache[state] = h
-        return h
-
-    h0 = h_of(init)
+    h0 = _hmax(c, init)
+    h_cache: dict[int, float] = {init: h0}
     if h0 is inf:
         return PlanResult(False, None, 0, 0, time.perf_counter() - start)
 
@@ -199,7 +223,7 @@ def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
     best: dict[int, tuple[int, tuple[str, ...]]] = {init: (0, empty)}
     heap: list[tuple[float, float, tuple[str, ...], int, int]] = [(h0, h0, empty, 0, init)]
     closed: set[int] = set()
-    action_range = range(len(c.names))
+    ops = c.ops
 
     while heap:
         f, h, path, g, state = heappop(heap)
@@ -218,19 +242,20 @@ def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
             return PlanResult(
                 True, Plan(path, g), expansions, generated, time.perf_counter() - start
             )
-        for ai in action_range:
-            pre = c.pre_masks[ai]
+        for pre, add, keep, cost, name in ops:
             if state & pre != pre:
                 continue
-            succ = (state & ~c.del_masks[ai]) | c.add_masks[ai]
+            succ = (state & keep) | add
             if succ in closed:
                 continue
-            g2 = g + c.costs[ai]
-            path2 = path + (c.names[ai],)
+            g2 = g + cost
+            path2 = path + (name,)
             rec = best.get(succ)
             if rec is not None and (g2, path2) >= rec:
                 continue
-            h2 = h_of(succ)
+            h2 = h_cache.get(succ)
+            if h2 is None:
+                h2 = h_cache[succ] = _hmax(c, succ)
             if h2 is inf:
                 continue
             best[succ] = (g2, path2)

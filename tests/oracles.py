@@ -2,7 +2,8 @@
 
 Everything here deliberately uses different algorithms and data structures
 than the package: plans come from plain uniform-cost search over frozenset
-states (no heuristic, no bitmasks), edit distance from memoized recursion
+states (no heuristic, no bitmasks), h-max from a naive fixpoint over fact
+costs (no levels, no bitmasks), edit distance from memoized recursion
 (not the iterative two-row table), and minimal explanation effort from
 exhaustive enumeration of every complete change subset and every order of
 it (no heuristic search).
@@ -51,6 +52,27 @@ def uniform_cost_plan(model: Model) -> tuple[int, tuple[str, ...]] | None:
                     tick += 1
                     heapq.heappush(frontier, (ng, tick, path + (act.name,), nxt))
     return None
+
+
+def hmax_fixpoint(model: Model, state: frozenset[Fact]) -> float | int:
+    """h-max by its definition: the least fixpoint of fact costs.
+
+    cost(p) = 0 for p in ``state``, otherwise the minimum over the actions
+    adding p of the action's cost plus the largest cost among its
+    preconditions; the estimate is the largest goal-fact cost.  Computed by
+    relaxing every action until no cost drops.
+    """
+    cost = {f: 0 if f in state else inf for f in model.facts}
+    changed = True
+    while changed:
+        changed = False
+        for act in model.actions:
+            ready = max((cost[p] for p in act.preconditions), default=0)
+            for fact in act.add_effects:
+                if ready + act.cost < cost[fact]:
+                    cost[fact] = ready + act.cost
+                    changed = True
+    return max((cost[g] for g in model.goal), default=0)
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -154,8 +176,12 @@ def exhaustive_min_effort(
 # Random instance generation
 
 
-def random_model(rng: random.Random) -> Model:
-    """A small random ground model (not necessarily solvable)."""
+def random_model(rng: random.Random, min_cost: int = 1, max_cost: int = 9) -> Model:
+    """A small random ground model (not necessarily solvable).
+
+    Action costs are drawn from ``min_cost``..``max_cost``; ``min_cost=0``
+    allows zero-cost actions.
+    """
     n_facts = rng.randint(4, 7)
     facts = []
     for i in range(n_facts):
@@ -168,7 +194,7 @@ def random_model(rng: random.Random) -> Model:
         pre = frozenset(rng.sample(facts, rng.randint(0, 2)))
         add = frozenset(rng.sample(facts, rng.randint(1, 2)))
         dele = frozenset(rng.sample(facts, rng.randint(0, 1))) - add
-        actions.append(GroundAction(f"act{k}", pre, add, dele, rng.randint(1, 9)))
+        actions.append(GroundAction(f"act{k}", pre, add, dele, rng.randint(min_cost, max_cost)))
     init = frozenset(f for f in facts if rng.random() < 0.4)
     goal = frozenset(rng.sample(facts, rng.randint(1, 2)))
     return Model(frozenset(facts), tuple(actions), init, goal)

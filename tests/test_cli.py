@@ -135,6 +135,13 @@ class TestExplain:
         assert dispatch(["explain", "--fixture", FIXTURE, "--epsilon", "0.1.2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["1/0", "abc", "-1/2"])
+    def test_unusable_epsilon_is_a_one_line_error(self, value, capsys):
+        rc = dispatch(["explain", "--fixture", FIXTURE, f"--epsilon={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epsilon") and err.count("\n") == 1
+
 
 class TestValidate:
     def test_complete_change_list_exits_zero(self, tmp_path, capsys):
@@ -177,6 +184,16 @@ class TestValidate:
         )
         assert dispatch(["validate", "-", "--fixture", FIXTURE]) == 0
 
+    @pytest.mark.parametrize(
+        "payload", ['{"changes": [{}]}', '{"changes": [{"direction": "add"}]}', '{"changes": 3}']
+    )
+    def test_malformed_json_changes_are_a_one_line_error(self, payload, tmp_path, capsys):
+        changes = tmp_path / "changes.json"
+        changes.write_text(payload)
+        assert dispatch(["validate", str(changes), "--fixture", FIXTURE]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_change_line(self, tmp_path, capsys):
         changes = tmp_path / "changes.txt"
         changes.write_text("befuddle init-has-car-ready\n")
@@ -211,6 +228,23 @@ class TestBenchAndSweep:
         rc = dispatch(["bench", "--fixture", FIXTURE, "--eligible-kinds", "vibes"])
         assert rc == 1
         assert "unknown feature kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["0", "-2", "many"])
+    def test_bench_runs_below_one_is_a_usage_error(self, runs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["bench", "--fixture", FIXTURE, "--runs", runs])
+        assert exc.value.code == 2
+        assert "--runs" in capsys.readouterr().err
+
+    def test_sweep_grid_too_large_fails_before_any_probe(self, monkeypatch, capsys):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr("pegplan.bench.perturb_model", no_probe)
+        rc = dispatch(["sweep", "--fixture", FIXTURE, "--p-step", "1e-9"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "probes" in err
 
     def test_sweep_csv_grid(self, capsys):
         rc = dispatch([

@@ -310,6 +310,80 @@ class TestApplyChange:
         assert apply_change(apply_change(m, change), inverse) == m
 
 
+def every_change(model: Model) -> list[FeatureChange]:
+    """Both directions of every feature over the model's facts and actions,
+    plus cost replacements to the current, a lower and a higher cost."""
+    features = []
+    for fact in sorted(model.facts):
+        features.append(Feature(FeatureKind.INIT, fact=fact))
+        features.append(Feature(FeatureKind.GOAL, fact=fact))
+        for act in model.actions:
+            for kind in (FeatureKind.PRECONDITION, FeatureKind.ADD_EFFECT, FeatureKind.DELETE_EFFECT):
+                features.append(Feature(kind, owner=act.name, fact=fact))
+    for act in model.actions:
+        for cost in {0, act.cost, act.cost + 1}:
+            features.append(Feature(FeatureKind.COST, owner=act.name, cost=cost))
+    return [FeatureChange(d, f) for f in features for d in ("add", "remove")]
+
+
+class TestDerivedModels:
+    """apply_change derives children without revalidating the whole model;
+    the children must be indistinguishable from fully validated ones."""
+
+    def assert_derivations_match_validated_models(self, model: Model) -> int:
+        derived = 0
+        for change in every_change(model):
+            try:
+                child = apply_change(model, change)
+            except (ChangePreconditionError, InvalidEditError):
+                continue
+            derived += 1
+            validated = Model(child.facts, child.actions, child.init, child.goal)
+            assert child == validated and hash(child) == hash(validated), change
+            rebuilt = reconstruct(gamma(child), child.facts)
+            assert child == rebuilt and hash(child) == hash(rebuilt), change
+        return derived
+
+    def test_random_models_and_their_children(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            m = random_model(rng, min_cost=0)
+            assert self.assert_derivations_match_validated_models(m) > 0
+            # and one level further down, from a derived parent
+            child = apply_change(m, FeatureChange("add", Feature(
+                FeatureKind.COST, owner=m.actions[0].name, cost=m.actions[0].cost + 1
+            )))
+            self.assert_derivations_match_validated_models(child)
+
+    def test_rover_model(self, rover_p01):
+        assert self.assert_derivations_match_validated_models(rover_p01) > 0
+
+    def test_derived_children_keep_every_edit_check(self):
+        # start from a derived model so each check runs on the fast path
+        m = apply_change(tiny_model(3), parse_change("add go-has-cost-5"))
+        with pytest.raises(InvalidEditError):
+            apply_change(m, parse_change("add go-has-delete-effect-g"))  # overlap
+        with pytest.raises(InvalidEditError):
+            apply_change(m, parse_change("add go-has-add-effect-unknown"))
+        with pytest.raises(InvalidEditError):
+            apply_change(m, parse_change("add fly-has-cost-2"))
+        with pytest.raises(InvalidEditError):
+            apply_change(m, parse_change("remove fly-has-precondition-p"))
+        with pytest.raises(ChangePreconditionError):
+            apply_change(m, parse_change("add go-has-precondition-p"))
+        with pytest.raises(ChangePreconditionError):
+            apply_change(m, parse_change("remove go-has-delete-effect-p"))
+        with pytest.raises(ChangePreconditionError):
+            apply_change(m, parse_change("add go-has-cost-5"))
+        with pytest.raises(ChangePreconditionError):
+            apply_change(m, parse_change("remove goal-has-q"))
+
+    def test_public_constructor_still_validates(self):
+        m = apply_change(tiny_model(), parse_change("add init-has-g"))
+        with pytest.raises(ModelError):
+            Model(m.facts - {G}, m.actions, m.init, m.goal)
+
+
 @given(
     st.lists(
         st.sampled_from([Fact("p"), Fact("q"), Fact("g"), Fact("r", ("o1",))]),

@@ -1,6 +1,8 @@
-"""Optimal-planner tests, including the uniform-cost cross-check."""
+"""Optimal-planner tests, including the uniform-cost and h-max cross-checks."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,15 +11,48 @@ from pegplan import (
     Fact,
     GroundAction,
     Model,
+    PerturbSpec,
     UnknownActionError,
     optimal_plan,
+    perturb_model,
     plan_cost,
     validate_plan,
 )
 
-from oracles import random_model, random_solvable_model, uniform_cost_plan
+from pegplan.planner import _Compiled, _hmax
+
+from oracles import hmax_fixpoint, random_model, random_solvable_model, uniform_cost_plan
 
 P, Q, G = Fact("p"), Fact("q"), Fact("g")
+
+# Plans and search counters of the instances below, recorded while h-max
+# was still computed by Dijkstra over facts.  A* keys on h, so any drift in
+# h-max values or tie-breaks shows up here.
+PINS = Path(__file__).with_name("planner_pins.json")
+
+
+def pinned_models(rover_p01: Model, rover_p02: Model) -> dict[str, Model]:
+    """Rover p01/p02, perturbed rover p01 models (larger searches with many
+    f-ties), and small random models, a third of them with 0/1 costs."""
+    models = {"rover-p01": rover_p01, "rover-p02": rover_p02}
+    for seed in range(10):
+        human, _, _ = perturb_model(rover_p01, PerturbSpec(0.1, seed))
+        models[f"rover-p01-perturbed-{seed}"] = human
+    rng = random.Random(31)
+    for i in range(200):
+        if i % 3 == 0:
+            models[f"random-{i}"] = random_model(rng, min_cost=0, max_cost=1)
+        else:
+            models[f"random-{i}"] = random_model(rng)
+    return models
+
+
+def search_record(model: Model) -> list:
+    """[plan actions, cost, expansions, generated]; None for no plan."""
+    result = optimal_plan(model)
+    if not result.solvable:
+        return [None, None, result.expansions, result.generated]
+    return [list(result.plan.actions), result.plan.cost, result.expansions, result.generated]
 
 
 def chain_model() -> Model:
@@ -110,6 +145,56 @@ class TestOptimalPlan:
     def test_rover_plan_is_valid(self, rover_p01):
         result = optimal_plan(rover_p01)
         assert validate_plan(result.plan, rover_p01).ok
+
+
+class TestHmax:
+    @pytest.mark.parametrize("min_cost,max_cost", [(0, 1), (0, 9), (1, 9)])
+    def test_matches_fixpoint_oracle_on_every_state(self, min_cost, max_cost):
+        rng = random.Random(40 + 10 * min_cost + max_cost)
+        for _ in range(150):
+            m = random_model(rng, min_cost=min_cost, max_cost=max_cost)
+            c = _Compiled(m)
+            for state in range(1 << len(c.facts)):
+                facts = frozenset(f for i, f in enumerate(c.facts) if state >> i & 1)
+                assert _hmax(c, state) == hmax_fixpoint(m, facts), (m, sorted(facts))
+
+    def test_zero_cost_actions_chain_within_a_level(self):
+        m = Model(
+            frozenset({P, Q, G}),
+            (
+                GroundAction("free-q", frozenset({P}), frozenset({Q}), frozenset(), 0),
+                GroundAction("free-g", frozenset({Q}), frozenset({G}), frozenset(), 0),
+                GroundAction("paid-g", frozenset({P}), frozenset({G}), frozenset(), 4),
+            ),
+            frozenset({P}),
+            frozenset({G}),
+        )
+        c = _Compiled(m)
+        assert _hmax(c, c.init_mask) == 0
+        assert _hmax(c, 0) == float("inf")
+
+    def test_goal_cost_is_the_dearest_goal_fact(self):
+        m = Model(
+            frozenset({P, Q, G}),
+            (
+                GroundAction("to-q", frozenset({P}), frozenset({Q}), frozenset(), 2),
+                GroundAction("to-g", frozenset({P}), frozenset({G}), frozenset(), 5),
+            ),
+            frozenset({P}),
+            frozenset({Q, G}),
+        )
+        c = _Compiled(m)
+        assert _hmax(c, c.init_mask) == 5
+
+
+class TestPinnedSearch:
+    def test_plans_and_counters_match_the_pins(self, rover_p01, rover_p02):
+        pins = json.loads(PINS.read_text())
+        models = pinned_models(rover_p01, rover_p02)
+        assert sorted(models) == sorted(pins)
+        got = {name: search_record(m) for name, m in models.items()}
+        drifted = [(name, got[name], pins[name]) for name in models if got[name] != pins[name]]
+        assert drifted == []
 
 
 class TestPlanCost:
