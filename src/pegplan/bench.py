@@ -119,14 +119,15 @@ class RunRecord:
     missing_features: int
     pool_size: int
     human_unsolvable: bool
-    peg_size: int
-    peg_sum_rho_p2: int
-    peg_expansions: int
-    peg_wall_time: float
-    concise_size: int
-    concise_sum_rho_p2: int
-    concise_expansions: int
-    concise_wall_time: float
+    # Result fields stay zero in a failed record.
+    peg_size: int = 0
+    peg_sum_rho_p2: int = 0
+    peg_expansions: int = 0
+    peg_wall_time: float = 0.0
+    concise_size: int = 0
+    concise_sum_rho_p2: int = 0
+    concise_expansions: int = 0
+    concise_wall_time: float = 0.0
     failed: bool = False
     failure: str = ""
 
@@ -140,10 +141,11 @@ class SweepRecord:
     missing_features: int
     pool_size: int
     human_unsolvable: bool
-    size: int
-    sum_rho: int
-    expansions: int
-    wall_time: float
+    # Result fields stay zero in a failed record.
+    size: int = 0
+    sum_rho: int = 0
+    expansions: int = 0
+    wall_time: float = 0.0
     failed: bool = False
     failure: str = ""
 
@@ -207,14 +209,6 @@ def _run_once(
             missing_features=missing,
             pool_size=pool,
             human_unsolvable=unsolvable,
-            peg_size=0,
-            peg_sum_rho_p2=0,
-            peg_expansions=0,
-            peg_wall_time=0.0,
-            concise_size=0,
-            concise_sum_rho_p2=0,
-            concise_expansions=0,
-            concise_wall_time=0.0,
             failed=True,
             failure=str(exc),
         )
@@ -346,10 +340,6 @@ def sweep_missing_prob(
                     missing_features=missing,
                     pool_size=pool,
                     human_unsolvable=unsolvable,
-                    size=0,
-                    sum_rho=0,
-                    expansions=0,
-                    wall_time=0.0,
                     failed=True,
                     failure=str(exc),
                 )

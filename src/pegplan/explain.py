@@ -4,8 +4,11 @@ An explanation is an ordered list of unit model changes that moves the
 human's model toward the robot's until the robot's plan is optimal there
 with its robot-side cost.  ``generate_concise`` minimizes the number of
 changes; ``generate_progressive`` minimizes the cumulative stepwise effort
-under one of the :mod:`~pegplan.metrics` proxies, searching the space of
-change subsets with A*.
+under one of the :mod:`~pegplan.metrics` proxies.  Both run one best-first
+search over the subset lattice of the problem's change pool: a node is an
+int whose bits mark the applied pool changes.  Concise is that search with
+unit steps and no heuristic; progressive is A* with the metric's effort as
+step cost and its remaining-effort estimate as heuristic.
 """
 
 from __future__ import annotations
@@ -55,13 +58,6 @@ class ReconciliationError(Exception):
     """The robot/human model pair cannot form a reconciliation problem."""
 
 
-def _node_info(result: PlanResult) -> tuple[int, tuple[str, ...]]:
-    """Cost and plan with the unsolvable-as-zero convention applied."""
-    if not result.solvable:
-        return 0, ()
-    return result.plan.cost, result.plan.actions
-
-
 class ReconciliationProblem:
     """A robot model, a human model, and the robot plan to be explained.
 
@@ -108,6 +104,13 @@ class ReconciliationProblem:
                 )
             self.robot_plan = Plan(actions, cost)
         self.pool: frozenset[FeatureChange] = delta(self.human, self.robot)
+        # Search nodes are bitmasks over the pool in render order, so heap
+        # tie-breaks compare pool indices where they would compare strings.
+        self._changes: tuple[FeatureChange, ...] = tuple(sorted(self.pool))
+        # The same indices in feature order, the candidate order at a node.
+        self._feature_order: tuple[int, ...] = tuple(
+            sorted(range(len(self._changes)), key=lambda i: self._changes[i].feature.render())
+        )
 
     # -- memoized per-model queries ------------------------------------
 
@@ -132,12 +135,16 @@ class ReconciliationProblem:
         on the plan being explained; otherwise the planner's deterministic
         optimum is used (the empty plan for unsolvable models).
         """
+        return self._cost_and_plan(model)[1]
+
+    def _cost_and_plan(self, model: Model) -> tuple[int, tuple[str, ...]]:
+        """cost*(model), 0 when unsolvable, and the anchored plan."""
         result = self.plan_result(model)
         if not result.solvable:
-            return ()
+            return 0, ()
         if self.target_plan_cost(model) == result.plan.cost:
-            return self.robot_plan.actions
-        return result.plan.actions
+            return result.plan.cost, self.robot_plan.actions
+        return result.plan.cost, result.plan.actions
 
     def planner_calls(self) -> int:
         return len(self._plan_cache)
@@ -149,8 +156,7 @@ class ReconciliationProblem:
         target = self.target_plan_cost(model)
         if target is None:
             return inf
-        cost_star, _ = _node_info(self.plan_result(model))
-        return target - cost_star
+        return target - self._cost_and_plan(model)[0]
 
     def is_complete_model(self, model: Model) -> bool:
         target = self.target_plan_cost(model)
@@ -191,17 +197,22 @@ def _is_cost_increasing(change: FeatureChange, model: Model) -> bool:
 def _order_candidates(
     problem: ReconciliationProblem,
     model: Model,
-    remaining: Iterable[FeatureChange],
-) -> list[FeatureChange]:
-    cost_star, _ = _node_info(problem.plan_result(model))
-    below_target = cost_star <= problem.robot_plan.cost
-    if below_target:
-        # Cost-raising changes first: they close the usual gap faster.
-        return sorted(
-            remaining,
-            key=lambda c: (not _is_cost_increasing(c, model), c.feature.render()),
-        )
-    return sorted(remaining, key=lambda c: c.feature.render())
+    cost_star: int,
+    changes: Sequence[FeatureChange],
+    indices: Iterable[int],
+) -> list[int]:
+    """Indices into ``changes``, given in feature order, in search order.
+
+    At or below the target cost, cost-raising changes come first (they
+    close the usual gap faster), each part keeping the feature order.
+    """
+    if cost_star > problem.robot_plan.cost:
+        return list(indices)
+    raising: list[int] = []
+    rest: list[int] = []
+    for i in indices:
+        (raising if _is_cost_increasing(changes[i], model) else rest).append(i)
+    return raising + rest
 
 
 def candidate_changes(
@@ -216,7 +227,10 @@ def candidate_changes(
     """
     if model is None:
         model = problem.human
-    return _order_candidates(problem, model, delta(model, problem.robot))
+    changes = sorted(delta(model, problem.robot), key=lambda c: c.feature.render())
+    cost_star = problem._cost_and_plan(model)[0]
+    order = _order_candidates(problem, model, cost_star, changes, range(len(changes)))
+    return [changes[i] for i in order]
 
 
 def is_explanation(
@@ -335,7 +349,8 @@ class ExplanationTrace:
 class SearchInstrument:
     """Optional probes into the progressive search, used by tests.
 
-    ``on_node(model, h, remaining)`` fires when a node is expanded;
+    ``on_node(model, h, seq)`` fires when a node is expanded, with ``seq``
+    the changes applied so far (empty at the root);
     ``on_edge(parent_h, step_rho, child_h)`` fires for each generated edge.
     """
 
@@ -345,11 +360,11 @@ class SearchInstrument:
 
 @dataclass
 class _Node:
-    g: Fraction
-    idx_seq: tuple[int, ...]
-    seq: tuple[FeatureChange, ...]
+    g: Fraction | int
+    idx_seq: tuple[int, ...]  # candidate positions along the path
     model: Model
     h: Fraction | float
+    info: tuple[int, tuple[str, ...]] | None  # (cost*, anchored plan)
     closed: bool = False
 
 
@@ -372,8 +387,7 @@ def _build_trace(
         if index > 0:
             model = apply_change(model, seq[index - 1])
         result = problem.plan_result(model)
-        cost_star, _ = _node_info(result)
-        plan = problem.anchored_plan(model)
+        cost_star, plan = problem._cost_and_plan(model)
         if index == 0:
             step_rho = 0
         else:
@@ -417,6 +431,83 @@ def _build_trace(
     )
 
 
+def _search(
+    problem: ReconciliationProblem,
+    name: str,
+    node_budget: int | None,
+    root: _Node,
+    score: Callable[[_Node, Model, int], tuple | None] | None = None,
+    on_node: Callable | None = None,
+) -> tuple[tuple[FeatureChange, ...], int, int]:
+    """Best-first search over subsets of the pool from ``root``.
+
+    Returns the changes of the first complete node expanded, with the
+    expansion and generation counts.  Nodes are popped by (f, h, size,
+    pool-index sequence, candidate-position sequence), and a subset keeps
+    its path of lowest (g, candidate positions).  Without ``score`` every
+    step costs 1 and h = 0: all paths to a subset then cost the same, so a
+    subset already generated is skipped before its model is derived, and
+    candidates need no ordering.  With ``score``, candidates follow
+    :func:`_order_candidates`, and ``score(parent, child_model,
+    child_remaining)`` prices each edge as (step, h, info), or returns None
+    for a dead end.
+    """
+    changes = problem._changes
+    nodes = {0: root}
+    heap: list = [(root.h, root.h, 0, (), (), 0)]
+    expansions = 0
+    generated = 0
+
+    while heap:
+        _, _, _, seq, idx_seq, mask = heappop(heap)
+        node = nodes[mask]
+        if node.closed or node.idx_seq != idx_seq:
+            continue  # stale entry: the node was improved or already expanded
+        node.closed = True
+        expansions += 1
+        if node_budget is not None and expansions > node_budget:
+            raise BudgetExceededError(f"{name} search exceeded the node budget of {node_budget}")
+        model = node.model
+        if on_node:
+            on_node(model, node.h, tuple(changes[i] for i in seq))
+        if problem.is_complete_model(model):
+            return tuple(changes[i] for i in seq), expansions, generated
+        remaining = [i for i in problem._feature_order if not mask >> i & 1]
+        if score is not None:
+            remaining = _order_candidates(problem, model, node.info[0], changes, remaining)
+        for idx, i in enumerate(remaining):
+            child_mask = mask | 1 << i
+            existing = nodes.get(child_mask)
+            if score is None and existing is not None:
+                continue
+            try:
+                child_model = apply_change(model, changes[i])
+            except InvalidEditError:
+                # e.g. adding a delete effect before the matching add effect
+                # was removed; the change stays available further down
+                continue
+            if score is None:
+                step, child_h, info = 1, 0, None
+            else:
+                scored = score(node, child_model, len(remaining) - 1)
+                if scored is None:
+                    continue
+                step, child_h, info = scored
+            child_g = node.g + step
+            child_idx = idx_seq + (idx,)
+            if existing is not None and (child_g, child_idx) >= (existing.g, existing.idx_seq):
+                continue
+            child_seq = seq + (i,)
+            nodes[child_mask] = _Node(child_g, child_idx, child_model, child_h, info)
+            generated += 1
+            heappush(
+                heap,
+                (child_g + child_h, child_h, len(child_seq), child_seq, child_idx, child_mask),
+            )
+
+    raise ReconciliationError("search exhausted without finding a complete explanation")
+
+
 def generate_progressive(
     problem: ReconciliationProblem,
     metric: MetricKind = MetricKind.P2,
@@ -440,116 +531,41 @@ def generate_progressive(
         raise ValueError("epsilon must be non-negative")
     target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
-    pool_size = len(problem.pool)
+    on_edge = instrument.on_edge if instrument else None
 
-    def node_ctx(model: Model) -> StepContext:
-        cost_star, _ = _node_info(problem.plan_result(model))
+    def context(prev: tuple[int, tuple[str, ...]], cur: tuple[int, tuple[str, ...]]) -> StepContext:
         return StepContext(
-            prev_cost=cost_star,
-            prev_plan=problem.anchored_plan(model),
-            cur_cost=cost_star,
-            cur_plan=problem.anchored_plan(model),
+            prev_cost=prev[0],
+            prev_plan=prev[1],
+            cur_cost=cur[0],
+            cur_plan=cur[1],
             target_plan=target_plan,
             target_cost=target_cost,
         )
 
-    root_model = problem.human
-    root_ctx = node_ctx(root_model)
-    root_h = heuristic(metric, variant, root_ctx, pool_size)
+    def score(parent: _Node, child_model: Model, child_remaining: int):
+        info = problem._cost_and_plan(child_model)
+        ctx = context(parent.info, info)
+        step_rho = rho(metric, ctx)
+        child_h = heuristic(metric, variant, ctx, child_remaining)
+        if on_edge:
+            on_edge(parent.h, step_rho, child_h)
+        if child_h == inf:
+            return None  # dead end: effort gap left but no changes to spend
+        return step_rho + epsilon, child_h, info
+
+    root_info = problem._cost_and_plan(problem.human)
+    root_h = heuristic(metric, variant, context(root_info, root_info), len(problem.pool))
     if root_h == inf:
         raise ReconciliationError("no complete explanation is reachable")
-
-    root_key: frozenset[FeatureChange] = frozenset()
-    nodes: dict[frozenset[FeatureChange], _Node] = {
-        root_key: _Node(Fraction(0), (), (), root_model, root_h)
-    }
-    counter = 0
-    heap: list = [(root_h, root_h, 0, (), (), counter, root_key)]
-    expansions = 0
-    generated = 0
-
-    while heap:
-        f, h, n_changes, seq_strings, idx_seq, _, key = heappop(heap)
-        node = nodes[key]
-        if node.closed or node.idx_seq != idx_seq:
-            continue  # stale entry: the node was improved or already expanded
-        node.closed = True
-        expansions += 1
-        if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(
-                f"progressive search exceeded the node budget of {node_budget}"
-            )
-        model = node.model
-        if instrument and instrument.on_node:
-            instrument.on_node(model, node.h, node.seq)
-        if problem.is_complete_model(model):
-            return _build_trace(
-                problem, "peg", metric, variant, epsilon, node.seq,
-                expansions, generated, start,
-            )
-        applied = key
-        remaining = [c for c in problem.pool if c not in applied]
-        ordered = _order_candidates(problem, model, remaining)
-        parent_cost, _ = _node_info(problem.plan_result(model))
-        parent_plan = problem.anchored_plan(model)
-        child_remaining = len(remaining) - 1
-        for idx, change in enumerate(ordered):
-            try:
-                child_model = apply_change(model, change)
-            except InvalidEditError:
-                # e.g. adding a delete effect before the matching add effect
-                # was removed; the change stays available further down
-                continue
-            child_key = applied | {change}
-            child_cost, _ = _node_info(problem.plan_result(child_model))
-            child_plan = problem.anchored_plan(child_model)
-            ctx = StepContext(
-                prev_cost=parent_cost,
-                prev_plan=parent_plan,
-                cur_cost=child_cost,
-                cur_plan=child_plan,
-                target_plan=target_plan,
-                target_cost=target_cost,
-            )
-            step_rho = rho(metric, ctx)
-            child_h = heuristic(metric, variant, ctx, child_remaining)
-            if instrument and instrument.on_edge:
-                instrument.on_edge(node.h, step_rho, child_h)
-            if child_h == inf:
-                continue  # dead end: effort gap left but no changes to spend
-            child_g = node.g + step_rho + epsilon
-            child_idx = idx_seq + (idx,)
-            existing = nodes.get(child_key)
-            if existing is not None and (
-                child_g > existing.g
-                or (child_g == existing.g and child_idx >= existing.idx_seq)
-            ):
-                continue
-            child_seq = node.seq + (change,)
-            if existing is None:
-                nodes[child_key] = _Node(child_g, child_idx, child_seq, child_model, child_h)
-            else:
-                existing.g = child_g
-                existing.idx_seq = child_idx
-                existing.seq = child_seq
-                existing.h = child_h
-                existing.closed = False
-            counter += 1
-            generated += 1
-            heappush(
-                heap,
-                (
-                    child_g + child_h,
-                    child_h,
-                    len(child_seq),
-                    tuple(c.render() for c in child_seq),
-                    child_idx,
-                    counter,
-                    child_key,
-                ),
-            )
-
-    raise ReconciliationError("search exhausted without finding a complete explanation")
+    root = _Node(Fraction(0), (), problem.human, root_h, root_info)
+    seq, expansions, generated = _search(
+        problem, "progressive", node_budget, root, score,
+        instrument.on_node if instrument else None,
+    )
+    return _build_trace(
+        problem, "peg", metric, variant, epsilon, seq, expansions, generated, start
+    )
 
 
 def generate_concise(
@@ -559,50 +575,14 @@ def generate_concise(
 ) -> ExplanationTrace:
     """Minimum-cardinality complete explanation.
 
-    Explores change subsets in order of size, then lexicographically by the
-    sorted change strings, so the result is the deterministic smallest
-    complete set; the ordering of changes within it is the discovery order,
-    which is reported but not optimized.  ``metric`` only labels the trace's
-    per-step effort records.
+    Among the complete explanations with the fewest changes, returns the
+    one whose change sequence is lexicographically smallest by rendered
+    change (every prefix of it must be a valid edit sequence).  ``metric``
+    only labels the trace's per-step effort records.
     """
     start = time.perf_counter()
-    root_key: frozenset[FeatureChange] = frozenset()
-    seqs: dict[frozenset[FeatureChange], tuple[FeatureChange, ...]] = {root_key: ()}
-    models: dict[frozenset[FeatureChange], Model] = {root_key: problem.human}
-    heap: list = [(0, (), root_key)]
-    seen: set[frozenset[FeatureChange]] = {root_key}
-    expansions = 0
-    generated = 0
-
-    while heap:
-        size, _, key = heappop(heap)
-        expansions += 1
-        if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(
-                f"concise search exceeded the node budget of {node_budget}"
-            )
-        model = models[key]
-        if problem.is_complete_model(model):
-            return _build_trace(
-                problem, "concise", metric, "safe", Fraction(0), seqs[key],
-                expansions, generated, start,
-            )
-        remaining = [c for c in problem.pool if c not in key]
-        for change in _order_candidates(problem, model, remaining):
-            child_key = key | {change}
-            if child_key in seen:
-                continue
-            try:
-                child_model = apply_change(model, change)
-            except InvalidEditError:
-                continue  # not applicable yet at this node; retry deeper
-            seen.add(child_key)
-            seqs[child_key] = seqs[key] + (change,)
-            models[child_key] = child_model
-            generated += 1
-            heappush(
-                heap,
-                (size + 1, tuple(sorted(c.render() for c in child_key)), child_key),
-            )
-
-    raise ReconciliationError("search exhausted without finding a complete explanation")
+    root = _Node(0, (), problem.human, 0, None)
+    seq, expansions, generated = _search(problem, "concise", node_budget, root)
+    return _build_trace(
+        problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated, start
+    )

@@ -4,9 +4,9 @@ Everything here deliberately uses different algorithms and data structures
 than the package: plans come from plain uniform-cost search over frozenset
 states (no heuristic, no bitmasks), h-max from a naive fixpoint over fact
 costs (no levels, no bitmasks), edit distance from memoized recursion
-(not the iterative two-row table), and minimal explanation effort from
-exhaustive enumeration of every complete change subset and every order of
-it (no heuristic search).
+(not the iterative two-row table), and minimal explanation effort and the
+concise explanation from exhaustive enumeration of change orderings (no
+heuristic search, no subset lattice).
 """
 
 from __future__ import annotations
@@ -172,6 +172,29 @@ def exhaustive_min_effort(
     return best
 
 
+def exhaustive_concise(problem: ReconciliationProblem) -> tuple[FeatureChange, ...] | None:
+    """The concise explanation by its definition.
+
+    Among the complete explanations of minimum size, the valid ordering
+    that is lexicographically smallest by rendered change.  Enumerates the
+    ordered selections of the render-sorted pool size by size;
+    ``permutations`` emits them in lexicographic order, so the first valid
+    complete one is the answer.  None when no ordering completes.
+    """
+    pool = sorted(problem.pool, key=lambda c: c.render())
+    for size in range(len(pool) + 1):
+        for order in itertools.permutations(pool, size):
+            model = problem.human
+            try:
+                for change in order:
+                    model = apply_change(model, change)
+            except (ChangePreconditionError, InvalidEditError):
+                continue
+            if problem.is_complete_model(model):
+                return order
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Random instance generation
 
@@ -258,6 +281,44 @@ def random_reconciliation(
             applied += 1
         problem = ReconciliationProblem(robot, human)
         if len(problem.pool) <= max_delta:
+            return problem
+
+
+def constrained_reconciliation(rng: random.Random, max_pool: int = 6) -> ReconciliationProblem:
+    """A reconciliation problem whose pool constrains the order of changes.
+
+    The human model moves one or two of the robot's delete effects into the
+    same action's add effects, so adding the delete effect back before the
+    add effect is removed raises :class:`InvalidEditError`; zero to two
+    random edits follow.  The pool has at most ``max_pool`` changes.
+    """
+    while True:
+        robot = random_solvable_model(rng)
+        movable = [(act.name, fact) for act in robot.actions for fact in sorted(act.delete_effects)]
+        if not movable:
+            continue
+        human = robot
+        for name, fact in rng.sample(movable, min(len(movable), rng.randint(1, 2))):
+            act = human.action(name)
+            human = human.replace_action(
+                GroundAction(
+                    name,
+                    act.preconditions,
+                    act.add_effects | {fact},
+                    act.delete_effects - {fact},
+                    act.cost,
+                )
+            )
+        for _ in range(rng.randint(0, 2)):
+            change = _random_edit(rng, human)
+            if change is None:
+                continue
+            try:
+                human = apply_change(human, change)
+            except (ChangePreconditionError, InvalidEditError):
+                continue
+        problem = ReconciliationProblem(robot, human)
+        if len(problem.pool) <= max_pool:
             return problem
 
 
