@@ -85,6 +85,7 @@ class ReconciliationProblem:
         self.node_budget = node_budget
         self._plan_cache: dict[Model, PlanResult] = {}
         self._target_cost_cache: dict[Model, int | None] = {}
+        self._witnesses: list[tuple[str, ...]] = []
 
         robot_result = self.plan_result(self.robot)
         if not robot_result.solvable:
@@ -159,11 +160,34 @@ class ReconciliationProblem:
         return target - self._cost_and_plan(model)[0]
 
     def is_complete_model(self, model: Model) -> bool:
+        """Is the robot plan optimal in ``model`` at its robot-side cost?
+
+        The robot plan must be feasible there at exactly its robot cost,
+        and no plan may be cheaper.  Before planning a model it has not
+        planned yet, the problem tries its *witnesses*: plans that earlier
+        planner calls found cheaper than their model's target.  All models
+        share one action-name universe, so a witness always has a cost or
+        is infeasible, and a feasible witness cheaper than the target
+        proves cost* < target without A*.  An optimum found cheaper than
+        the target becomes a witness; the list is kept most recently
+        useful first.
+        """
         target = self.target_plan_cost(model)
-        if target is None:
+        if target is None or target != self.robot_plan.cost:
             return False
-        result = self.plan_result(model)
-        return result.solvable and result.plan.cost == target == self.robot_plan.cost
+        result = self._plan_cache.get(model)
+        if result is None:
+            witnesses = self._witnesses
+            for k, witness in enumerate(witnesses):
+                cost = plan_cost(witness, model)
+                if cost is not None and cost < target:
+                    witnesses.insert(0, witnesses.pop(k))
+                    return False
+            result = self.plan_result(model)
+            if result.solvable and result.plan.cost < target:
+                # every witness has just failed here, so this one is new
+                witnesses.insert(0, result.plan.actions)
+        return result.solvable and result.plan.cost == target
 
     def apply_changes(self, changes: Iterable[FeatureChange], base: Model | None = None) -> Model:
         model = self.human if base is None else base
@@ -310,7 +334,15 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class ExplanationTrace:
-    """An ordered explanation with its per-step records and search stats."""
+    """An ordered explanation with its per-step records and search stats.
+
+    ``expansions`` counts the nodes expanded.  ``generated`` counts the
+    child subsets queued; concise queues a child before deriving its
+    model, so it also counts a subset whose edit turns out invalid when
+    popped.  ``planner_calls`` counts the models the problem actually
+    planned, over all its searches so far; models refuted by a witness
+    plan are not planned.
+    """
 
     mode: str  # "peg" | "concise"
     metric: MetricKind
@@ -362,7 +394,7 @@ class SearchInstrument:
 class _Node:
     g: Fraction | int
     idx_seq: tuple[int, ...]  # candidate positions along the path
-    model: Model
+    model: Model | tuple[Model, FeatureChange]  # or (parent model, change) until popped
     h: Fraction | float
     info: tuple[int, tuple[str, ...]] | None  # (cost*, anchored plan)
     closed: bool = False
@@ -446,11 +478,16 @@ def _search(
     pool-index sequence, candidate-position sequence), and a subset keeps
     its path of lowest (g, candidate positions).  Without ``score`` every
     step costs 1 and h = 0: all paths to a subset then cost the same, so a
-    subset already generated is skipped before its model is derived, and
-    candidates need no ordering.  With ``score``, candidates follow
-    :func:`_order_candidates`, and ``score(parent, child_model,
-    child_remaining)`` prices each edge as (step, h, info), or returns None
-    for a dead end.
+    subset already generated is skipped, candidates need no ordering, and
+    a child stores (parent model, change) until it is popped, so only
+    expanded nodes derive a model.  A child whose edit is invalid is then
+    dropped uncounted as an expansion; that is exact, because from a valid
+    parent only an add/delete overlap on the edited action can fail, and
+    whether it does depends on the subset alone, not on the parent.
+
+    With ``score``, candidates follow :func:`_order_candidates`, and
+    ``score(parent, child_model, child_remaining)`` prices each edge as
+    (step, h, info), or returns None for a dead end.
     """
     changes = problem._changes
     nodes = {0: root}
@@ -464,10 +501,15 @@ def _search(
         if node.closed or node.idx_seq != idx_seq:
             continue  # stale entry: the node was improved or already expanded
         node.closed = True
+        model = node.model
+        if isinstance(model, tuple):
+            try:
+                model = node.model = apply_change(*model)
+            except InvalidEditError:
+                continue  # no valid model holds this subset
         expansions += 1
         if node_budget is not None and expansions > node_budget:
             raise BudgetExceededError(f"{name} search exceeded the node budget of {node_budget}")
-        model = node.model
         if on_node:
             on_node(model, node.h, tuple(changes[i] for i in seq))
         if problem.is_complete_model(model):
@@ -478,17 +520,17 @@ def _search(
         for idx, i in enumerate(remaining):
             child_mask = mask | 1 << i
             existing = nodes.get(child_mask)
-            if score is None and existing is not None:
-                continue
-            try:
-                child_model = apply_change(model, changes[i])
-            except InvalidEditError:
-                # e.g. adding a delete effect before the matching add effect
-                # was removed; the change stays available further down
-                continue
             if score is None:
-                step, child_h, info = 1, 0, None
+                if existing is not None:
+                    continue
+                child_model, step, child_h, info = (model, changes[i]), 1, 0, None
             else:
+                try:
+                    child_model = apply_change(model, changes[i])
+                except InvalidEditError:
+                    # e.g. adding a delete effect before the matching add
+                    # effect was removed; the change stays available further down
+                    continue
                 scored = score(node, child_model, len(remaining) - 1)
                 if scored is None:
                     continue
@@ -578,7 +620,10 @@ def generate_concise(
     Among the complete explanations with the fewest changes, returns the
     one whose change sequence is lexicographically smallest by rendered
     change (every prefix of it must be a valid edit sequence).  ``metric``
-    only labels the trace's per-step effort records.
+    only labels the trace's per-step effort records.  Only expanded nodes
+    derive a model, and most of them are rejected without A*: by the
+    robot plan's cost there, or by a witness plan (see
+    :meth:`ReconciliationProblem.is_complete_model`).
     """
     start = time.perf_counter()
     root = _Node(0, (), problem.human, 0, None)

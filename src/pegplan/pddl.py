@@ -123,33 +123,35 @@ class _Sexp:
 
 
 def _parse_sexp(text: str) -> _Sexp:
+    """Parse exactly one top-level form.
+
+    Iterative, with an explicit stack of open lists, so nesting depth is
+    bounded by memory rather than by Python's recursion limit.
+    """
     tokens = list(_tokenize(text))
-    pos = 0
-
-    def parse_one() -> _Sexp:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input: unbalanced parentheses")
-        tok = tokens[pos]
-        pos += 1
+    stack: list[tuple[_Token, list[_Sexp]]] = []  # open lists, innermost last
+    for pos, tok in enumerate(tokens):
         if tok.text == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unbalanced parentheses", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return _Sexp(items=items, line=tok.line, col=tok.col)
-                items.append(parse_one())
+            stack.append((tok, []))
+            continue
         if tok.text == ")":
-            raise ParseError("unmatched ')'", tok.line, tok.col)
-        return _Sexp(atom=tok.text, line=tok.line, col=tok.col)
-
-    result = parse_one()
-    if pos < len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing content after top-level form", extra.line, extra.col)
-    return result
+            if not stack:
+                raise ParseError("unmatched ')'", tok.line, tok.col)
+            opener, items = stack.pop()
+            sexp = _Sexp(items=items, line=opener.line, col=opener.col)
+        else:
+            sexp = _Sexp(atom=tok.text, line=tok.line, col=tok.col)
+        if stack:
+            stack[-1][1].append(sexp)
+            continue
+        if pos + 1 < len(tokens):
+            extra = tokens[pos + 1]
+            raise ParseError("trailing content after top-level form", extra.line, extra.col)
+        return sexp
+    if stack:
+        opener = stack[-1][0]
+        raise ParseError("unbalanced parentheses", opener.line, opener.col)
+    raise ParseError("unexpected end of input: unbalanced parentheses")
 
 
 def _head(sexp: _Sexp) -> str:

@@ -26,6 +26,8 @@ from pegplan import (
     ReconciliationProblem,
     apply_change,
     delta,
+    optimal_plan,
+    plan_cost,
 )
 from pegplan.model import ChangePreconditionError, InvalidEditError
 
@@ -131,22 +133,11 @@ def exhaustive_min_effort(
             infos[applied] = got
         return got
 
-    def build(combo) -> Model | None:
-        """Model holding the whole subset, or None if no order can (a
-        removals-first order succeeds whenever any order does)."""
-        model = base
-        for change in sorted(combo, key=lambda c: (c.direction != "remove", c.render())):
-            try:
-                model = apply_change(model, change)
-            except (ChangePreconditionError, InvalidEditError):
-                return None
-        return model
-
     best: float | int = inf
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            final = build(combo)
-            if final is None or not problem.is_complete_model(final):
+            final = subset_model(base, combo)
+            if final is None or not planned_is_complete(problem, final):
                 continue
             for order in itertools.permutations(combo):
                 total = 0
@@ -172,6 +163,33 @@ def exhaustive_min_effort(
     return best
 
 
+def subset_model(base: Model, changes) -> Model | None:
+    """``base`` with all ``changes`` applied, or None if no order can (a
+    removals-first order succeeds whenever any order does)."""
+    model = base
+    for change in sorted(changes, key=lambda c: (c.direction != "remove", c.render())):
+        try:
+            model = apply_change(model, change)
+        except (ChangePreconditionError, InvalidEditError):
+            return None
+    return model
+
+
+def planned_is_complete(problem: ReconciliationProblem, model: Model) -> bool:
+    """Completeness by its definition, planning ``model`` every time.
+
+    The robot plan is feasible in ``model`` and an optimal plan there costs
+    exactly the robot plan's cost in both models.
+    """
+    target = plan_cost(problem.robot_plan.actions, model)
+    result = optimal_plan(model)
+    return (
+        target is not None
+        and result.solvable
+        and result.plan.cost == target == problem.robot_plan.cost
+    )
+
+
 def exhaustive_concise(problem: ReconciliationProblem) -> tuple[FeatureChange, ...] | None:
     """The concise explanation by its definition.
 
@@ -190,7 +208,7 @@ def exhaustive_concise(problem: ReconciliationProblem) -> tuple[FeatureChange, .
                     model = apply_change(model, change)
             except (ChangePreconditionError, InvalidEditError):
                 continue
-            if problem.is_complete_model(model):
+            if planned_is_complete(problem, model):
                 return order
     return None
 

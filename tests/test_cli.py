@@ -61,6 +61,15 @@ class TestPlan:
             dispatch(["plan", "--fixture", FIXTURE, "--bogus"])
         assert exc.value.code == 2
 
+    def test_deeply_nested_domain_is_a_one_line_error(self, tmp_path, capsys):
+        domain = tmp_path / "deep.pddl"
+        domain.write_text("(" * 5000 + ")" * 5000)
+        rc = dispatch(["plan", "--robot-domain", str(domain), "--robot-problem", ROVER_P01])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_out_writes_a_file(self, tmp_path, capsys):
         out = tmp_path / "plan.txt"
         assert dispatch(["plan", "--fixture", FIXTURE, "--out", str(out)]) == 0

@@ -1,49 +1,69 @@
 """Both explanation modes against their oracles where change order matters.
 
-The instances come from ``constrained_reconciliation``: some pool changes
+Most instances come from ``constrained_reconciliation``: some pool changes
 raise :class:`InvalidEditError` until another change has been applied, so
-the searches must route around invalid edits.
+the searches must route around invalid edits.  Concise completeness checks
+refute models with earlier planner calls' cheaper plans, so they are also
+checked against planning every model, and their work is bounded on a rover
+instance.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pegplan.explain as explain
-from pegplan import MetricKind, generate_concise, generate_progressive
+from pegplan import (
+    MetricKind,
+    PerturbSpec,
+    ReconciliationProblem,
+    generate_concise,
+    generate_progressive,
+    perturb_model,
+)
 from pegplan.model import InvalidEditError
 
-from oracles import constrained_reconciliation, exhaustive_concise, exhaustive_min_effort
+from oracles import (
+    constrained_reconciliation,
+    exhaustive_concise,
+    exhaustive_min_effort,
+    planned_is_complete,
+    random_reconciliation,
+    subset_model,
+)
 
 
-def _count_invalid_edits(monkeypatch) -> list[int]:
-    """Count the invalid edits the searches attempt."""
-    count = [0]
+def _count_apply_change(monkeypatch) -> Counter:
+    """Count the searches' ``apply_change`` calls and their invalid edits."""
+    counts = Counter()
     original = explain.apply_change
 
     def counting(model, change):
+        counts["calls"] += 1
         try:
             return original(model, change)
         except InvalidEditError:
-            count[0] += 1
+            counts["invalid"] += 1
             raise
 
     monkeypatch.setattr(explain, "apply_change", counting)
-    return count
+    return counts
 
 
 def test_concise_is_the_lexicographically_smallest_minimum_explanation(monkeypatch):
-    invalid = _count_invalid_edits(monkeypatch)
+    counts = _count_apply_change(monkeypatch)
     rng = random.Random(1)
     for _ in range(1000):
         problem = constrained_reconciliation(rng)
         trace = generate_concise(problem)
         assert trace.complete
         assert trace.changes == exhaustive_concise(problem)
-    assert invalid[0] > 0
+    assert counts["invalid"] > 0
 
 
 def test_progressive_reaches_minimum_effort_around_invalid_edits(monkeypatch):
-    invalid = _count_invalid_edits(monkeypatch)
+    counts = _count_apply_change(monkeypatch)
     rng = random.Random(29)
     for _ in range(120):
         problem = constrained_reconciliation(rng)
@@ -53,4 +73,59 @@ def test_progressive_reaches_minimum_effort_around_invalid_edits(monkeypatch):
             )
             assert trace.complete
             assert trace.sum_rho == exhaustive_min_effort(problem, metric.value)
-    assert invalid[0] > 0
+    assert counts["invalid"] > 0
+
+
+def test_witness_refutation_agrees_with_planning_every_model(monkeypatch):
+    """Every valid subset, in shuffled order on one problem, so that the
+    witnesses of earlier subsets are tried on later ones."""
+    planned = Counter()
+    original = explain.optimal_plan
+
+    def counting(model, **kwargs):
+        planned["calls"] += 1
+        return original(model, **kwargs)
+
+    monkeypatch.setattr(explain, "optimal_plan", counting)
+    rng = random.Random(43)
+    refuted = 0
+    for i in range(2000):
+        make = random_reconciliation if i % 2 else constrained_reconciliation
+        problem = make(rng)
+        pool = sorted(problem.pool)
+        subsets = [c for r in range(len(pool) + 1) for c in itertools.combinations(pool, r)]
+        rng.shuffle(subsets)
+        for subset in subsets:
+            model = subset_model(problem.human, subset)
+            if model is None:
+                continue
+            before = planned["calls"]
+            got = problem.is_complete_model(model)
+            assert got == planned_is_complete(problem, model), [c.render() for c in subset]
+            at_target = problem.target_plan_cost(model) == problem.robot_plan.cost
+            if at_target and not got and planned["calls"] == before:
+                refuted += 1  # answered by a witness, not by A*
+    assert refuted > 0
+
+
+ROVER_P02_S7_CONCISE = [
+    "add communicate_image_data-rover0-general-objective0-high_res-w1-w0"
+    "-has-add-effect-communicated_image_data(objective0,high_res)",
+    "add communicate_image_data-rover0-general-objective0-high_res-w1-w0"
+    "-has-precondition-have_image(rover0,objective0,high_res)",
+    "add communicate_soil_data-rover0-general-w0-w1-w0-has-precondition-have_soil_analysis(rover0,w0)",
+    "add navigate-rover0-w2-w1-has-precondition-at(rover0,w2)",
+    "add sample_rock-rover0-store0-w1-has-add-effect-have_rock_analysis(rover0,w1)",
+]
+
+
+def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
+    """Pool of 19, 11,484 expansions: witnesses answer almost every
+    completeness check, and only expanded nodes derive a model."""
+    counts = _count_apply_change(monkeypatch)
+    human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 7))
+    trace = generate_concise(ReconciliationProblem(rover_p02, human))
+    assert [c.render() for c in trace.changes] == ROVER_P02_S7_CONCISE
+    assert trace.expansions == 11_484
+    assert trace.planner_calls <= 20
+    assert counts["calls"] <= 12_000

@@ -87,6 +87,13 @@ class TestDomainParsing:
         with pytest.raises(ParseError, match="unbalanced"):
             parse_domain("(define (domain d)")
 
+    def test_deep_nesting_is_a_parse_error_not_a_recursion_error(self):
+        depth = 5000
+        with pytest.raises(ParseError, match="line 1, column 1: expected a named form"):
+            parse_domain("(" * depth + ")" * depth)
+        with pytest.raises(ParseError, match=f"line 1, column {depth}: unbalanced"):
+            parse_problem("(" * depth)
+
 
 class TestProblemParsing:
     def test_rover_problem_parses(self, rover_domain):
