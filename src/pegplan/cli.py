@@ -246,7 +246,10 @@ def _read_changes(path: str):
     text = sys.stdin.read() if path == "-" else _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise _CliError(f"{path}: JSON nested too deeply") from None
         raw = payload.get("changes", []) if isinstance(payload, dict) else None
         if not isinstance(raw, list):
             raise _CliError(f"{path}: 'changes' must be a list")

@@ -86,6 +86,9 @@ class ReconciliationProblem:
         self._plan_cache: dict[Model, PlanResult] = {}
         self._target_cost_cache: dict[Model, int | None] = {}
         self._witnesses: list[tuple[str, ...]] = []
+        # cost*(model) of solvable models a progressive search proved
+        # without planning them (see generate_progressive)
+        self._inferred_costs: dict[Model, int] = {}
 
         robot_result = self.plan_result(self.robot)
         if not robot_result.solvable:
@@ -138,14 +141,18 @@ class ReconciliationProblem:
         """
         return self._cost_and_plan(model)[1]
 
-    def _cost_and_plan(self, model: Model) -> tuple[int, tuple[str, ...]]:
-        """cost*(model), 0 when unsolvable, and the anchored plan."""
+    def _cost_and_plan(
+        self, model: Model
+    ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
+        """cost*(model), 0 when unsolvable, the anchored plan, and the
+        planner's optimal plan (None when unsolvable)."""
         result = self.plan_result(model)
         if not result.solvable:
-            return 0, ()
-        if self.target_plan_cost(model) == result.plan.cost:
-            return result.plan.cost, self.robot_plan.actions
-        return result.plan.cost, result.plan.actions
+            return 0, (), None
+        plan = result.plan
+        if self.target_plan_cost(model) == plan.cost:
+            return plan.cost, self.robot_plan.actions, plan.actions
+        return plan.cost, plan.actions, plan.actions
 
     def planner_calls(self) -> int:
         return len(self._plan_cache)
@@ -170,11 +177,16 @@ class ReconciliationProblem:
         is infeasible, and a feasible witness cheaper than the target
         proves cost* < target without A*.  An optimum found cheaper than
         the target becomes a witness; the list is kept most recently
-        useful first.
+        useful first.  A cost* that a progressive search proved without
+        planning is read before any of this.
         """
         target = self.target_plan_cost(model)
         if target is None or target != self.robot_plan.cost:
             return False
+        if self._inferred_costs:
+            cost = self._inferred_costs.get(model)
+            if cost is not None:
+                return cost == target
         result = self._plan_cache.get(model)
         if result is None:
             witnesses = self._witnesses
@@ -341,7 +353,8 @@ class ExplanationTrace:
     model, so it also counts a subset whose edit turns out invalid when
     popped.  ``planner_calls`` counts the models the problem actually
     planned, over all its searches so far; models refuted by a witness
-    plan are not planned.
+    plan, and progressive children whose optimal cost follows from their
+    parent's (see :func:`generate_progressive`), are not planned.
     """
 
     mode: str  # "peg" | "concise"
@@ -396,7 +409,8 @@ class _Node:
     idx_seq: tuple[int, ...]  # candidate positions along the path
     model: Model | tuple[Model, FeatureChange]  # or (parent model, change) until popped
     h: Fraction | float
-    info: tuple[int, tuple[str, ...]] | None  # (cost*, anchored plan)
+    # (cost*, anchored plan, one optimal plan or None when unsolvable)
+    info: tuple[int, tuple[str, ...], tuple[str, ...] | None] | None
     closed: bool = False
 
 
@@ -419,7 +433,7 @@ def _build_trace(
         if index > 0:
             model = apply_change(model, seq[index - 1])
         result = problem.plan_result(model)
-        cost_star, plan = problem._cost_and_plan(model)
+        cost_star, plan, _ = problem._cost_and_plan(model)
         if index == 0:
             step_rho = 0
         else:
@@ -468,7 +482,7 @@ def _search(
     name: str,
     node_budget: int | None,
     root: _Node,
-    score: Callable[[_Node, Model, int], tuple | None] | None = None,
+    score: Callable[[_Node, FeatureChange, _Node | None, int], tuple | None] | None = None,
     on_node: Callable | None = None,
 ) -> tuple[tuple[FeatureChange, ...], int, int]:
     """Best-first search over subsets of the pool from ``root``.
@@ -476,20 +490,26 @@ def _search(
     Returns the changes of the first complete node expanded, with the
     expansion and generation counts.  Nodes are popped by (f, h, size,
     pool-index sequence, candidate-position sequence), and a subset keeps
-    its path of lowest (g, candidate positions).  Without ``score`` every
-    step costs 1 and h = 0: all paths to a subset then cost the same, so a
-    subset already generated is skipped, candidates need no ordering, and
-    a child stores (parent model, change) until it is popped, so only
-    expanded nodes derive a model.  A child whose edit is invalid is then
-    dropped uncounted as an expansion; that is exact, because from a valid
-    parent only an add/delete overlap on the edited action can fail, and
-    whether it does depends on the subset alone, not on the parent.
+    its path of lowest (g, candidate positions).  A subset's model depends
+    on the subset alone, and so does whether it has one: from a valid
+    parent only an add/delete overlap on the edited action can fail.
+
+    Without ``score`` every step costs 1 and h = 0: all paths to a subset
+    then cost the same, so a subset already generated is skipped,
+    candidates need no ordering, and a child stores (parent model, change)
+    until it is popped, so only expanded nodes derive a model.  A child
+    whose edit is invalid is then dropped uncounted as an expansion.
 
     With ``score``, candidates follow :func:`_order_candidates`, and
-    ``score(parent, child_model, child_remaining)`` prices each edge as
-    (step, h, info), or returns None for a dead end.
+    ``score(parent, change, known, child_remaining)`` prices each edge as
+    (child model, step, h, info), or returns None for a dead end or an
+    invalid edit; ``known`` is the child subset's node if it has one.  A
+    node is complete when its cost* and the robot plan's cost there both
+    equal the robot cost: a feasible robot plan makes the model solvable,
+    so this plans nothing.
     """
     changes = problem._changes
+    robot_cost = problem.robot_plan.cost
     nodes = {0: root}
     heap: list = [(root.h, root.h, 0, (), (), 0)]
     expansions = 0
@@ -512,7 +532,11 @@ def _search(
             raise BudgetExceededError(f"{name} search exceeded the node budget of {node_budget}")
         if on_node:
             on_node(model, node.h, tuple(changes[i] for i in seq))
-        if problem.is_complete_model(model):
+        if score is None:
+            complete = problem.is_complete_model(model)
+        else:
+            complete = node.info[0] == robot_cost == problem.target_plan_cost(model)
+        if complete:
             return tuple(changes[i] for i in seq), expansions, generated
         remaining = [i for i in problem._feature_order if not mask >> i & 1]
         if score is not None:
@@ -525,16 +549,10 @@ def _search(
                     continue
                 child_model, step, child_h, info = (model, changes[i]), 1, 0, None
             else:
-                try:
-                    child_model = apply_change(model, changes[i])
-                except InvalidEditError:
-                    # e.g. adding a delete effect before the matching add
-                    # effect was removed; the change stays available further down
-                    continue
-                scored = score(node, child_model, len(remaining) - 1)
+                scored = score(node, changes[i], existing, len(remaining) - 1)
                 if scored is None:
                     continue
-                step, child_h, info = scored
+                child_model, step, child_h, info = scored
             child_g = node.g + step
             child_idx = idx_seq + (idx,)
             if existing is not None and (child_g, child_idx) >= (existing.g, existing.idx_seq):
@@ -566,6 +584,16 @@ def generate_progressive(
     lexicographically smallest change-string sequence; among equally cheap
     orderings of the same set, the one that follows the candidate ordering
     (cost-raising changes first) earliest is kept.
+
+    Each subset is derived and scored once; another path to it is priced
+    from the two nodes' (cost*, plan) alone.  A child made by a cost-raising
+    change (:func:`_is_cost_increasing`) keeps a subset of its parent's
+    plans, none of them cheaper, so it is not planned when an unsolvable
+    parent makes it unsolvable, or when the parent's optimal plan keeps its
+    cost there: then the child's cost* is the parent's.  Its anchored plan
+    is then the robot plan if that costs cost* there; otherwise p1/p2 read
+    no plan, and p3/p4 plan the child.  The costs so proven let a later
+    :meth:`ReconciliationProblem.is_complete_model` skip planning.
     """
     start = time.perf_counter()
     epsilon = Fraction(epsilon)
@@ -573,9 +601,10 @@ def generate_progressive(
         raise ValueError("epsilon must be non-negative")
     target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
+    plans_unread = metric in (MetricKind.P1, MetricKind.P2)
     on_edge = instrument.on_edge if instrument else None
 
-    def context(prev: tuple[int, tuple[str, ...]], cur: tuple[int, tuple[str, ...]]) -> StepContext:
+    def context(prev: tuple, cur: tuple) -> StepContext:
         return StepContext(
             prev_cost=prev[0],
             prev_plan=prev[1],
@@ -585,16 +614,40 @@ def generate_progressive(
             target_cost=target_cost,
         )
 
-    def score(parent: _Node, child_model: Model, child_remaining: int):
-        info = problem._cost_and_plan(child_model)
-        ctx = context(parent.info, info)
+    def child_info(parent: _Node, change: FeatureChange, model: Model) -> tuple:
+        """The child's info, planning it only where the parent's cannot decide it."""
+        if _is_cost_increasing(change, parent.model):
+            cost, _, optimum = parent.info
+            if optimum is None:
+                return parent.info  # no plan to lose: still unsolvable
+            if plan_cost(optimum, model) == cost:
+                anchored = problem.target_plan_cost(model) == cost
+                if anchored or plans_unread:
+                    problem._inferred_costs[model] = cost
+                    return cost, target_plan if anchored else optimum, optimum
+        return problem._cost_and_plan(model)
+
+    def score(parent: _Node, change: FeatureChange, known: _Node | None, child_remaining: int):
+        if known is None:
+            try:
+                model = apply_change(parent.model, change)
+            except InvalidEditError:
+                # e.g. adding a delete effect before the matching add
+                # effect was removed; the change stays available further down
+                return None
+            info = child_info(parent, change, model)
+            ctx = context(parent.info, info)
+            child_h = heuristic(metric, variant, ctx, child_remaining)
+        else:
+            # the subset's model, info and h depend on the subset alone
+            model, info, child_h = known.model, known.info, known.h
+            ctx = context(parent.info, info)
         step_rho = rho(metric, ctx)
-        child_h = heuristic(metric, variant, ctx, child_remaining)
         if on_edge:
             on_edge(parent.h, step_rho, child_h)
         if child_h == inf:
             return None  # dead end: effort gap left but no changes to spend
-        return step_rho + epsilon, child_h, info
+        return model, step_rho + epsilon, child_h, info
 
     root_info = problem._cost_and_plan(problem.human)
     root_h = heuristic(metric, variant, context(root_info, root_info), len(problem.pool))

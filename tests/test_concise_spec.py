@@ -3,9 +3,10 @@
 Most instances come from ``constrained_reconciliation``: some pool changes
 raise :class:`InvalidEditError` until another change has been applied, so
 the searches must route around invalid edits.  Concise completeness checks
-refute models with earlier planner calls' cheaper plans, so they are also
-checked against planning every model, and their work is bounded on a rover
-instance.
+refute models with earlier planner calls' cheaper plans, and progressive
+infers the optimal cost of cost-raising children from their parents, so
+both are also checked against planning every model, and the work of each
+mode is bounded on a rover instance.
 """
 
 import itertools
@@ -18,11 +19,14 @@ from pegplan import (
     MetricKind,
     PerturbSpec,
     ReconciliationProblem,
+    SearchInstrument,
     generate_concise,
     generate_progressive,
     perturb_model,
 )
+from pegplan.metrics import StepContext, heuristic
 from pegplan.model import InvalidEditError
+from pegplan.planner import optimal_plan
 
 from oracles import (
     constrained_reconciliation,
@@ -129,3 +133,59 @@ def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     assert trace.expansions == 11_484
     assert trace.planner_calls <= 20
     assert counts["calls"] <= 12_000
+
+
+def test_progressive_inference_agrees_with_planning_every_model():
+    """Every expanded node's h equals the h of its planned model, and every
+    cost* the search proved without planning equals the planner's."""
+    rng = random.Random(47)
+    unplanned = 0
+    inferred = 0
+    for i in range(200):
+        if i % 2:
+            problem = random_reconciliation(rng, max_delta=6)
+        else:
+            problem = constrained_reconciliation(rng)
+        fresh = ReconciliationProblem(problem.robot, problem.human, problem.robot_plan)
+        target = problem.robot_plan
+        for variant in ("paper", "safe"):
+            for metric in MetricKind:
+                nodes = []
+                generate_progressive(
+                    problem, metric=metric, variant=variant,
+                    instrument=SearchInstrument(
+                        on_node=lambda model, h, seq: nodes.append((model, h, len(seq)))
+                    ),
+                )
+                for model, h, size in nodes:
+                    unplanned += model not in problem._plan_cache
+                    cost, plan, _ = fresh._cost_and_plan(model)
+                    ctx = StepContext(cost, plan, cost, plan, target.actions, target.cost)
+                    remaining = len(problem.pool) - size
+                    assert h == heuristic(metric, variant, ctx, remaining), (i, metric, variant)
+        for model, cost in problem._inferred_costs.items():
+            result = optimal_plan(model)
+            assert result.solvable and result.plan.cost == cost, i
+        inferred += len(problem._inferred_costs)
+    assert unplanned > 0 and inferred > 0
+
+
+ROVER_P01_S1_PROGRESSIVE = [
+    "add calibrate-rover0-camera0-objective0-w0-has-add-effect-calibrated(camera0,rover0)",
+    "add communicate_rock_data-rover0-general-w2-w1-w0-has-add-effect-communicated_rock_data(w2)",
+    "add communicate_soil_data-rover0-general-w1-w1-w0-has-add-effect-communicated_soil_data(w1)",
+]
+
+
+def test_progressive_work_on_rover_p01(rover_p01, monkeypatch):
+    """Pool of 12, 3,582 expansions over 4,096 subsets: each subset is
+    derived once, and cost-raising children of unsolvable or unchanged
+    parents are not planned."""
+    counts = _count_apply_change(monkeypatch)
+    human, _, _ = perturb_model(rover_p01, PerturbSpec(0.14, 1))
+    trace = generate_progressive(ReconciliationProblem(rover_p01, human), metric=MetricKind.P2)
+    assert [c.render() for c in trace.changes] == ROVER_P01_S1_PROGRESSIVE
+    assert trace.sum_rho == 121
+    assert trace.expansions == 3_582
+    assert trace.planner_calls <= 600
+    assert counts["calls"] <= 4_500
