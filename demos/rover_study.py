@@ -4,7 +4,7 @@ Hides each eligible robot-model feature from the simulated human with
 probability 0.1, then compares progressive and concise explanations
 over a handful of runs.  Prints the per-run table as CSV.
 
-Run:  python3 demos/rover_study.py            (about half a minute)
+Run:  python3 demos/rover_study.py            (about a second)
 """
 
 from pathlib import Path

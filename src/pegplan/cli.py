@@ -99,7 +99,7 @@ def _load_pddl_model(domain_path: str, problem_path: str) -> Model:
 
 def _load_robot(args) -> Model:
     if args.fixture:
-        models = load_fixture_checked(args.fixture)
+        models = _load_fixture(args.fixture)
         if "robot" in models:
             return models["robot"]
         if len(models) == 1:
@@ -113,14 +113,16 @@ def _load_robot(args) -> Model:
     raise _CliError("expected --fixture or both --robot-domain and --robot-problem")
 
 
-def load_fixture_checked(path: str):
-    _read_text(path)  # surface missing-file errors uniformly
-    return load_fixture(path)
+def _load_fixture(path: str) -> dict[str, Model]:
+    try:
+        return load_fixture(path)
+    except OSError as exc:
+        raise _CliError(str(exc)) from None
 
 
 def _load_pair(args) -> tuple[Model, Model]:
     if args.fixture:
-        models = load_fixture_checked(args.fixture)
+        models = _load_fixture(args.fixture)
         if "robot" not in models or "human" not in models:
             raise _CliError(
                 f"fixture {args.fixture} must define models named 'robot' and 'human'"
@@ -150,7 +152,10 @@ def _read_plan_file(path: str) -> tuple[str, ...]:
 
 def _write_output(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _CliError(str(exc)) from None
     else:
         sys.stdout.write(text)
 

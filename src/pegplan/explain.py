@@ -84,11 +84,7 @@ class ReconciliationProblem:
         self.human = human.with_facts(universe)
         self.node_budget = node_budget
         self._plan_cache: dict[Model, PlanResult] = {}
-        self._target_cost_cache: dict[Model, int | None] = {}
         self._witnesses: list[tuple[str, ...]] = []
-        # cost*(model) of solvable models a progressive search proved
-        # without planning them (see generate_progressive)
-        self._inferred_costs: dict[Model, int] = {}
 
         robot_result = self.plan_result(self.robot)
         if not robot_result.solvable:
@@ -127,9 +123,7 @@ class ReconciliationProblem:
 
     def target_plan_cost(self, model: Model) -> int | None:
         """Cost of the robot plan in ``model``, or None when infeasible."""
-        if model not in self._target_cost_cache:
-            self._target_cost_cache[model] = plan_cost(self.robot_plan.actions, model)
-        return self._target_cost_cache[model]
+        return plan_cost(self.robot_plan.actions, model)
 
     def anchored_plan(self, model: Model) -> tuple[str, ...]:
         """The model's canonical optimal plan, anchored to the robot plan.
@@ -177,16 +171,11 @@ class ReconciliationProblem:
         is infeasible, and a feasible witness cheaper than the target
         proves cost* < target without A*.  An optimum found cheaper than
         the target becomes a witness; the list is kept most recently
-        useful first.  A cost* that a progressive search proved without
-        planning is read before any of this.
+        useful first.
         """
         target = self.target_plan_cost(model)
         if target is None or target != self.robot_plan.cost:
             return False
-        if self._inferred_costs:
-            cost = self._inferred_costs.get(model)
-            if cost is not None:
-                return cost == target
         result = self._plan_cache.get(model)
         if result is None:
             witnesses = self._witnesses
@@ -592,8 +581,7 @@ def generate_progressive(
     parent makes it unsolvable, or when the parent's optimal plan keeps its
     cost there: then the child's cost* is the parent's.  Its anchored plan
     is then the robot plan if that costs cost* there; otherwise p1/p2 read
-    no plan, and p3/p4 plan the child.  The costs so proven let a later
-    :meth:`ReconciliationProblem.is_complete_model` skip planning.
+    no plan, and p3/p4 plan the child.
     """
     start = time.perf_counter()
     epsilon = Fraction(epsilon)
@@ -623,7 +611,6 @@ def generate_progressive(
             if plan_cost(optimum, model) == cost:
                 anchored = problem.target_plan_cost(model) == cost
                 if anchored or plans_unread:
-                    problem._inferred_costs[model] = cost
                     return cost, target_plan if anchored else optimum, optimum
         return problem._cost_and_plan(model)
 

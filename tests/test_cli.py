@@ -76,6 +76,22 @@ class TestPlan:
         assert capsys.readouterr().out == ""
         assert out.read_text() == "(visit-park-cheap)\n; cost = 9\n"
 
+    def test_unwritable_out_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "plan.txt"
+        assert dispatch(["plan", "--fixture", FIXTURE, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: [Errno 2] No such file or directory: {str(out)!r}"]
+        assert "Traceback" not in captured.err
+
+    def test_missing_fixture_is_a_one_line_error(self, tmp_path, capsys):
+        fixture = tmp_path / "absent.model"
+        assert dispatch(["plan", "--fixture", str(fixture)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(fixture)!r}\n"
+        )
+
 
 class TestExplain:
     def test_csv_matches_the_walkthrough(self, capsys):

@@ -26,7 +26,6 @@ from pegplan import (
 )
 from pegplan.metrics import StepContext, heuristic
 from pegplan.model import InvalidEditError
-from pegplan.planner import optimal_plan
 
 from oracles import (
     constrained_reconciliation,
@@ -135,9 +134,25 @@ def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     assert counts["calls"] <= 12_000
 
 
-def test_progressive_inference_agrees_with_planning_every_model():
+def _record_nodes(monkeypatch) -> list:
+    """Every node the searches create, the root and each scored child."""
+    nodes = []
+    original = explain._Node
+
+    def recording(*args):
+        node = original(*args)
+        nodes.append(node)
+        return node
+
+    monkeypatch.setattr(explain, "_Node", recording)
+    return nodes
+
+
+def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
     """Every expanded node's h equals the h of its planned model, and every
-    cost* the search proved without planning equals the planner's."""
+    node's cost*, generated or expanded, equals the planner's, also where
+    the search proved it without planning."""
+    created = _record_nodes(monkeypatch)
     rng = random.Random(47)
     unplanned = 0
     inferred = 0
@@ -150,23 +165,28 @@ def test_progressive_inference_agrees_with_planning_every_model():
         target = problem.robot_plan
         for variant in ("paper", "safe"):
             for metric in MetricKind:
-                nodes = []
+                expanded = []
+                created.clear()
                 generate_progressive(
                     problem, metric=metric, variant=variant,
                     instrument=SearchInstrument(
-                        on_node=lambda model, h, seq: nodes.append((model, h, len(seq)))
+                        on_node=lambda model, h, seq: expanded.append((model, h, len(seq)))
                     ),
                 )
-                for model, h, size in nodes:
+                for model, h, size in expanded:
                     unplanned += model not in problem._plan_cache
                     cost, plan, _ = fresh._cost_and_plan(model)
                     ctx = StepContext(cost, plan, cost, plan, target.actions, target.cost)
                     remaining = len(problem.pool) - size
                     assert h == heuristic(metric, variant, ctx, remaining), (i, metric, variant)
-        for model, cost in problem._inferred_costs.items():
-            result = optimal_plan(model)
-            assert result.solvable and result.plan.cost == cost, i
-        inferred += len(problem._inferred_costs)
+                for node in created:
+                    cost, _, optimum = node.info
+                    planned_cost, _, planned_optimum = fresh._cost_and_plan(node.model)
+                    assert (cost, optimum is None) == (planned_cost, planned_optimum is None), (
+                        i, metric, variant,
+                    )
+                    if optimum is not None and node.model not in problem._plan_cache:
+                        inferred += 1  # solvable, and its cost* proven without A*
     assert unplanned > 0 and inferred > 0
 
 

@@ -1,0 +1,33 @@
+"""The demos and the README's quick tour run as documented."""
+
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+from conftest import ROOT
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_readme_quick_tour(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"## Quick tour\s+```python\n(.*?)```", readme, re.S)
+    assert tour, "README.md has no Quick tour code block"
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(tour.group(1), namespace)
+    assert namespace["trace"].sum_rho == 6
+    assert capsys.readouterr().out.endswith("total effort: 6\n")

@@ -1,5 +1,6 @@
 """Reconciliation-problem and explanation-search tests."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import inf
@@ -12,6 +13,7 @@ from pegplan import (
     GroundAction,
     MetricKind,
     Model,
+    PerturbSpec,
     ReconciliationError,
     ReconciliationProblem,
     SearchInstrument,
@@ -23,9 +25,10 @@ from pegplan import (
     is_explanation,
     is_monotonic,
     parse_change,
+    perturb_model,
 )
 
-from oracles import exhaustive_min_effort, random_reconciliation
+from oracles import constrained_reconciliation, exhaustive_min_effort, random_reconciliation
 
 P, G = Fact("p"), Fact("g")
 
@@ -335,3 +338,36 @@ class TestTraceBookkeeping:
         assert trace.generated > 0
         assert trace.planner_calls > 0
         assert trace.wall_time >= 0
+
+
+class TestSearchIndependence:
+    """A problem caches plans and witnesses across its searches; an
+    explanation must not depend on them, only the work counts may."""
+
+    SEARCHES = {
+        "progressive p2": lambda p: generate_progressive(p, metric=MetricKind.P2),
+        "progressive p4": lambda p: generate_progressive(p, metric=MetricKind.P4),
+        "progressive p1 paper": lambda p: generate_progressive(
+            p, metric=MetricKind.P1, variant="paper"
+        ),
+        "concise": generate_concise,
+    }
+
+    def _check(self, problem: ReconciliationProblem) -> None:
+        for name, search in self.SEARCHES.items():
+            fresh = ReconciliationProblem(problem.robot, problem.human, problem.robot_plan)
+            shared, alone = search(problem), search(fresh)
+            assert dataclasses.replace(shared, planner_calls=0, wall_time=0.0) == (
+                dataclasses.replace(alone, planner_calls=0, wall_time=0.0)
+            ), name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rover_p01(self, rover_p01, seed):
+        human, _, _ = perturb_model(rover_p01, PerturbSpec(0.1, seed))
+        self._check(ReconciliationProblem(rover_p01, human))
+
+    def test_random_instances(self):
+        rng = random.Random(53)
+        for i in range(200):
+            make = random_reconciliation if i % 2 else constrained_reconciliation
+            self._check(make(rng))
