@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .bench import (
     DEFAULT_ELIGIBLE_KINDS,
@@ -56,9 +57,12 @@ def _node_budget(args) -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise _CliError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise _CliError(f"{_ENV_BUDGET} must be non-negative, got {raw!r}")
+    return value
 
 
 def _epsilon(args) -> Fraction:
@@ -73,15 +77,19 @@ def _epsilon(args) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    """argparse type for integers no smaller than ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _read_text(path: str) -> str:
@@ -361,7 +369,7 @@ def _add_model_inputs(parser: argparse.ArgumentParser, human: bool = True) -> No
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--node-budget", type=int, default=None,
+    parser.add_argument("--node-budget", type=_int_at_least(0), default=None,
                         help=f"search-node budget (default: ${_ENV_BUDGET} or unlimited)")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=formats[0])
@@ -407,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problem", dest="robot_problem", help="robot PDDL problem file")
     p_bench.add_argument("--fixture", help="native fixture file (robot model)")
     p_bench.add_argument("--missing-prob", type=float, default=0.1)
-    p_bench.add_argument("--runs", type=_positive_int, default=10)
+    p_bench.add_argument("--runs", type=_int_at_least(1), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--eligible-kinds", default="",
                          help="comma-separated feature kinds to perturb")

@@ -111,6 +111,15 @@ class ReconciliationProblem:
         self._feature_order: tuple[int, ...] = tuple(
             sorted(range(len(self._changes)), key=lambda i: self._changes[i].feature.render())
         )
+        # Each action has at most one cost change in the pool and keeps the
+        # human's cost until it is applied, so whether a pool change raises
+        # cost is the same at every node that lacks it.
+        raising = [_is_cost_increasing(c, self.human) for c in self._changes]
+        self._raising_mask = sum(1 << i for i, up in enumerate(raising) if up)
+        # Feature order with the cost-raising changes first (a stable sort).
+        self._raising_first: tuple[int, ...] = tuple(
+            sorted(self._feature_order, key=lambda i: not raising[i])
+        )
 
     # -- memoized per-model queries ------------------------------------
 
@@ -130,8 +139,9 @@ class ReconciliationProblem:
 
         When the robot plan is among the model's optima it is taken as the
         canonical choice, so a finished reconciliation always lands exactly
-        on the plan being explained; otherwise the planner's deterministic
-        optimum is used (the empty plan for unsolvable models).
+        on the plan being explained; otherwise the model's canonical plan
+        (see :func:`~pegplan.planner.optimal_plan`) is used, and the empty
+        plan for unsolvable models.
         """
         return self._cost_and_plan(model)[1]
 
@@ -139,7 +149,7 @@ class ReconciliationProblem:
         self, model: Model
     ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
         """cost*(model), 0 when unsolvable, the anchored plan, and the
-        planner's optimal plan (None when unsolvable)."""
+        canonical plan (None when unsolvable)."""
         result = self.plan_result(model)
         if not result.solvable:
             return 0, (), None
@@ -169,8 +179,8 @@ class ReconciliationProblem:
         planner calls found cheaper than their model's target.  All models
         share one action-name universe, so a witness always has a cost or
         is infeasible, and a feasible witness cheaper than the target
-        proves cost* < target without A*.  An optimum found cheaper than
-        the target becomes a witness; the list is kept most recently
+        proves cost* < target without planning.  An optimum found cheaper
+        than the target becomes a witness; the list is kept most recently
         useful first.
         """
         target = self.target_plan_cost(model)
@@ -219,33 +229,14 @@ def _is_cost_increasing(change: FeatureChange, model: Model) -> bool:
     return change.feature.cost > model.action(change.feature.owner).cost
 
 
-def _order_candidates(
-    problem: ReconciliationProblem,
-    model: Model,
-    cost_star: int,
-    changes: Sequence[FeatureChange],
-    indices: Iterable[int],
-) -> list[int]:
-    """Indices into ``changes``, given in feature order, in search order.
-
-    At or below the target cost, cost-raising changes come first (they
-    close the usual gap faster), each part keeping the feature order.
-    """
-    if cost_star > problem.robot_plan.cost:
-        return list(indices)
-    raising: list[int] = []
-    rest: list[int] = []
-    for i in indices:
-        (raising if _is_cost_increasing(changes[i], model) else rest).append(i)
-    return raising + rest
-
-
 def candidate_changes(
     problem: ReconciliationProblem, model: Model | None = None
 ) -> list[FeatureChange]:
     """Unit changes still available at a node, in search order.
 
-    The pool is the difference between the robot model and the node's
+    At or below the target cost, cost-raising changes come first (they
+    close the usual gap faster), each part keeping the feature order.  The
+    pool is the difference between the robot model and the node's
     model: additions of robot features the node lacks, removals of node
     features the robot lacks (so nothing an explanation does can ever state
     something untrue of the robot model).
@@ -253,9 +244,9 @@ def candidate_changes(
     if model is None:
         model = problem.human
     changes = sorted(delta(model, problem.robot), key=lambda c: c.feature.render())
-    cost_star = problem._cost_and_plan(model)[0]
-    order = _order_candidates(problem, model, cost_star, changes, range(len(changes)))
-    return [changes[i] for i in order]
+    if problem._cost_and_plan(model)[0] > problem.robot_plan.cost:
+        return changes
+    return sorted(changes, key=lambda c: not _is_cost_increasing(c, model))
 
 
 def is_explanation(
@@ -329,8 +320,6 @@ class StepRecord:
     cost_star: int
     plan: tuple[str, ...]
     rho: int
-    planner_expansions: int
-    planner_generated: int
 
 
 @dataclass(frozen=True)
@@ -398,7 +387,7 @@ class _Node:
     idx_seq: tuple[int, ...]  # candidate positions along the path
     model: Model | tuple[Model, FeatureChange]  # or (parent model, change) until popped
     h: Fraction | float
-    # (cost*, anchored plan, one optimal plan or None when unsolvable)
+    # (cost*, anchored plan, canonical plan or None when unsolvable)
     info: tuple[int, tuple[str, ...], tuple[str, ...] | None] | None
     closed: bool = False
 
@@ -421,8 +410,7 @@ def _build_trace(
     for index in range(len(seq) + 1):
         if index > 0:
             model = apply_change(model, seq[index - 1])
-        result = problem.plan_result(model)
-        cost_star, plan, _ = problem._cost_and_plan(model)
+        cost_star, plan, optimum = problem._cost_and_plan(model)
         if index == 0:
             step_rho = 0
         else:
@@ -441,12 +429,10 @@ def _build_trace(
                 index=index,
                 change=seq[index - 1] if index > 0 else None,
                 model_digest=model.digest(),
-                solvable=result.solvable,
+                solvable=optimum is not None,
                 cost_star=cost_star,
                 plan=plan,
                 rho=step_rho,
-                planner_expansions=result.expansions,
-                planner_generated=result.generated,
             )
         )
         prev_cost, prev_plan = cost_star, plan
@@ -489,8 +475,10 @@ def _search(
     until it is popped, so only expanded nodes derive a model.  A child
     whose edit is invalid is then dropped uncounted as an expansion.
 
-    With ``score``, candidates follow :func:`_order_candidates`, and
-    ``score(parent, change, known, child_remaining)`` prices each edge as
+    With ``score``, a node at or below the robot cost tries the
+    cost-raising changes first (they close the usual gap faster), each part
+    keeping the feature order; ``score(parent, i, known, child_remaining)``
+    prices the edge that adds pool change ``i`` as
     (child model, step, h, info), or returns None for a dead end or an
     invalid edit; ``known`` is the child subset's node if it has one.  A
     node is complete when its cost* and the robot plan's cost there both
@@ -527,9 +515,10 @@ def _search(
             complete = node.info[0] == robot_cost == problem.target_plan_cost(model)
         if complete:
             return tuple(changes[i] for i in seq), expansions, generated
-        remaining = [i for i in problem._feature_order if not mask >> i & 1]
-        if score is not None:
-            remaining = _order_candidates(problem, model, node.info[0], changes, remaining)
+        order = problem._feature_order
+        if score is not None and node.info[0] <= robot_cost:
+            order = problem._raising_first
+        remaining = [i for i in order if not mask >> i & 1]
         for idx, i in enumerate(remaining):
             child_mask = mask | 1 << i
             existing = nodes.get(child_mask)
@@ -538,7 +527,7 @@ def _search(
                     continue
                 child_model, step, child_h, info = (model, changes[i]), 1, 0, None
             else:
-                scored = score(node, changes[i], existing, len(remaining) - 1)
+                scored = score(node, i, existing, len(remaining) - 1)
                 if scored is None:
                     continue
                 child_model, step, child_h, info = scored
@@ -578,10 +567,10 @@ def generate_progressive(
     from the two nodes' (cost*, plan) alone.  A child made by a cost-raising
     change (:func:`_is_cost_increasing`) keeps a subset of its parent's
     plans, none of them cheaper, so it is not planned when an unsolvable
-    parent makes it unsolvable, or when the parent's optimal plan keeps its
-    cost there: then the child's cost* is the parent's.  Its anchored plan
-    is then the robot plan if that costs cost* there; otherwise p1/p2 read
-    no plan, and p3/p4 plan the child.
+    parent makes it unsolvable, or when the parent's canonical plan keeps
+    its cost there.  Then the child's optimal plans are among the parent's
+    and include that plan, so it is the child's canonical plan too, at the
+    parent's cost*.
     """
     start = time.perf_counter()
     epsilon = Fraction(epsilon)
@@ -589,7 +578,6 @@ def generate_progressive(
         raise ValueError("epsilon must be non-negative")
     target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
-    plans_unread = metric in (MetricKind.P1, MetricKind.P2)
     on_edge = instrument.on_edge if instrument else None
 
     def context(prev: tuple, cur: tuple) -> StepContext:
@@ -602,27 +590,26 @@ def generate_progressive(
             target_cost=target_cost,
         )
 
-    def child_info(parent: _Node, change: FeatureChange, model: Model) -> tuple:
+    def child_info(parent: _Node, i: int, model: Model) -> tuple:
         """The child's info, planning it only where the parent's cannot decide it."""
-        if _is_cost_increasing(change, parent.model):
+        if problem._raising_mask >> i & 1:
             cost, _, optimum = parent.info
             if optimum is None:
                 return parent.info  # no plan to lose: still unsolvable
             if plan_cost(optimum, model) == cost:
                 anchored = problem.target_plan_cost(model) == cost
-                if anchored or plans_unread:
-                    return cost, target_plan if anchored else optimum, optimum
+                return cost, target_plan if anchored else optimum, optimum
         return problem._cost_and_plan(model)
 
-    def score(parent: _Node, change: FeatureChange, known: _Node | None, child_remaining: int):
+    def score(parent: _Node, i: int, known: _Node | None, child_remaining: int):
         if known is None:
             try:
-                model = apply_change(parent.model, change)
+                model = apply_change(parent.model, problem._changes[i])
             except InvalidEditError:
                 # e.g. adding a delete effect before the matching add
                 # effect was removed; the change stays available further down
                 return None
-            info = child_info(parent, change, model)
+            info = child_info(parent, i, model)
             ctx = context(parent.info, info)
             child_h = heuristic(metric, variant, ctx, child_remaining)
         else:
@@ -661,7 +648,7 @@ def generate_concise(
     one whose change sequence is lexicographically smallest by rendered
     change (every prefix of it must be a valid edit sequence).  ``metric``
     only labels the trace's per-step effort records.  Only expanded nodes
-    derive a model, and most of them are rejected without A*: by the
+    derive a model, and most of them are rejected without planning: by the
     robot plan's cost there, or by a witness plan (see
     :meth:`ReconciliationProblem.is_complete_model`).
     """

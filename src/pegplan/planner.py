@@ -1,22 +1,21 @@
 """Optimal planning over ground models.
 
-A* with the h-max delete-relaxation heuristic (admissible and consistent),
-so the first goal expansion is cost-optimal.  Ties are broken
-deterministically: lower f, then lower h, then the lexicographically
-smallest action-name path, which makes the returned plan a stable canonical
-choice for a given model.
+:func:`optimal_plan` returns the model's *canonical plan*: among the plans
+of least cost, the one with the fewest actions, and among those the
+lexicographically smallest action-name sequence.  It is found by
+uniform-cost search over states, popped by (cost, length, action names).
+That order survives appending the same action to two paths, so keeping one
+path per state loses no canonical plan, and the first goal state popped
+carries the canonical plan.  Names alone would not do: with zero-cost
+actions, appending an action to two paths where one is a prefix of the
+other can reverse their name order, and a zero-cost loop can leave no
+lexicographically smallest cheapest plan at all.
 
 States are bitmasks over the model's fact universe.  Every model of a
 reconciliation problem shares one universe, so its bit order (facts sorted
 by rendered string) is computed once per universe and kept in a small
 cache, together with each action's precondition/add/delete masks; a search
 node that edits one action costs one new set of masks, not a recompile.
-
-h-max (Bonet & Geffner, "Planning as Heuristic Search", AIJ 2001) is
-computed by sweeping the relaxed actions level by level over the reached
-mask instead of running Dijkstra over facts.  For non-negative integer
-costs both give the same value on every state, so the A* keys, tie-breaks,
-plans and search counters are those of the fact-level computation.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heappop
-from math import inf
 from typing import Iterable, Sequence
 
 from .model import Fact, GroundAction, Model
@@ -96,11 +94,11 @@ class _Universe:
     Facts get bits in the order of their rendered strings.
     """
 
-    __slots__ = ("facts", "bit", "action_masks")
+    __slots__ = ("bit", "action_masks")
 
     def __init__(self, facts: frozenset[Fact]):
-        self.facts = tuple(sorted(facts, key=lambda f: f.render()))
-        self.bit = {f: 1 << i for i, f in enumerate(self.facts)}
+        ordered = sorted(facts, key=lambda f: f.render())
+        self.bit = {f: 1 << i for i, f in enumerate(ordered)}
         self.action_masks: dict[GroundAction, tuple[int, int, int]] = {}
 
     def mask(self, facts: Iterable[Fact]) -> int:
@@ -134,104 +132,67 @@ class _Compiled:
     """Bitmask encoding of a model for the search inner loop.
 
     ``ops`` holds one (pre, add, keep, cost, name) tuple per action in model
-    order, where ``keep`` clears the delete effects; ``relaxed`` holds the
-    (pre, add, cost) triples of the actions that add anything, which are all
-    that h-max needs.
+    order, where ``keep`` clears the delete effects.
     """
 
-    __slots__ = ("facts", "ops", "relaxed", "init_mask", "goal_mask")
+    __slots__ = ("ops", "init_mask", "goal_mask")
 
     def __init__(self, model: Model):
         universe = _universe(model.facts)
-        self.facts = universe.facts
         self.ops = []
-        self.relaxed = []
         for act in model.actions:
             pre, add, dele = universe.masks(act)
             self.ops.append((pre, add, ~dele, act.cost, act.name))
-            if add:
-                self.relaxed.append((pre, add, act.cost))
         self.init_mask = universe.mask(model.init)
         self.goal_mask = universe.mask(model.goal)
 
+    def goal_relaxed_reachable(self) -> bool:
+        """Is the goal reachable when delete effects are ignored?
 
-def _hmax(c: _Compiled, state: int) -> float:
-    """Max-cost delete-relaxation estimate of reaching the goal from state.
-
-    Reachability is swept level by level: at level L every action whose
-    preconditions are all reached fires once, adding its effects at level
-    L + cost (zero-cost effects join level L, which is swept again until
-    nothing grows).  A fact's level is then its h-max cost, and the estimate
-    is the first level at which the whole goal is reached, or inf.
-    """
-    goal = c.goal_mask
-    reached = state
-    if reached & goal == goal:
-        return 0
-    level = 0
-    waiting = c.relaxed
-    scheduled: dict[int, int] = {}  # level -> facts due to be added at it
-    while True:
-        unfired = []
-        grew = False
-        for act in waiting:
-            pre, add, cost = act
-            if reached & pre != pre:
-                unfired.append(act)
-            elif cost:
-                at = level + cost
-                scheduled[at] = scheduled.get(at, 0) | add
-            elif add & ~reached:
-                reached |= add
-                grew = True
-        waiting = unfired
-        if grew:
-            if reached & goal == goal:
-                return level
-            continue
-        if not scheduled:
-            return inf
-        level = min(scheduled)
-        reached |= scheduled.pop(level)
-        if reached & goal == goal:
-            return level
+        Otherwise no plan exists, which is decided here without a search.
+        """
+        reached, goal, waiting = self.init_mask, self.goal_mask, self.ops
+        while reached & goal != goal:
+            before = reached
+            unfired = []
+            for op in waiting:
+                if reached & op[0] == op[0]:
+                    reached |= op[1]
+                else:
+                    unfired.append(op)
+            if reached == before:
+                return False
+            waiting = unfired
+        return True
 
 
 def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
-    """Find a cost-optimal plan, or report unsolvability.
+    """Find the model's canonical plan, or report unsolvability.
 
-    Deterministic for a fixed model: among equally cheap nodes the search
-    prefers lower heuristic values and then the lexicographically smallest
-    action-name path, so repeated calls return the same plan and statistics.
-    Raises :class:`BudgetExceededError` when ``node_budget`` expansions are
-    exceeded before an answer is found.
+    The canonical plan is the cheapest, then the shortest, then the
+    lexicographically smallest by action names (see the module docstring),
+    so it depends on the model alone.  Raises :class:`BudgetExceededError`
+    when ``node_budget`` expansions are exceeded before an answer is found.
     """
     start = time.perf_counter()
     c = _Compiled(model)
+    if not c.goal_relaxed_reachable():
+        return PlanResult(False, None, 0, 0, time.perf_counter() - start)
     init = c.init_mask
     goal = c.goal_mask
+    ops = c.ops
     expansions = 0
     generated = 0
 
-    h0 = _hmax(c, init)
-    h_cache: dict[int, float] = {init: h0}
-    if h0 is inf:
-        return PlanResult(False, None, 0, 0, time.perf_counter() - start)
-
-    empty: tuple[str, ...] = ()
-    # best[state] = (g, path); equal-g rediscoveries keep the lex-smaller path
-    best: dict[int, tuple[int, tuple[str, ...]]] = {init: (0, empty)}
-    heap: list[tuple[float, float, tuple[str, ...], int, int]] = [(h0, h0, empty, 0, init)]
+    # best[state] = (cost, length, path) of the best path queued to it
+    best: dict[int, tuple[int, int, tuple[str, ...]]] = {init: (0, 0, ())}
+    heap: list[tuple[int, int, tuple[str, ...], int]] = [(0, 0, (), init)]
     closed: set[int] = set()
-    ops = c.ops
 
     while heap:
-        f, h, path, g, state = heappop(heap)
+        g, n, path, state = heappop(heap)
         if state in closed:
-            continue
-        rec_g, rec_path = best[state]
-        if g != rec_g or path != rec_path:
-            continue  # stale entry
+            continue  # stale entry: a better path to it was expanded
         closed.add(state)
         expansions += 1
         if node_budget is not None and expansions > node_budget:
@@ -242,24 +203,19 @@ def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
             return PlanResult(
                 True, Plan(path, g), expansions, generated, time.perf_counter() - start
             )
+        n += 1
         for pre, add, keep, cost, name in ops:
             if state & pre != pre:
                 continue
             succ = (state & keep) | add
             if succ in closed:
                 continue
-            g2 = g + cost
-            path2 = path + (name,)
+            key = (g + cost, n, path + (name,))
             rec = best.get(succ)
-            if rec is not None and (g2, path2) >= rec:
+            if rec is not None and key >= rec:
                 continue
-            h2 = h_cache.get(succ)
-            if h2 is None:
-                h2 = h_cache[succ] = _hmax(c, succ)
-            if h2 is inf:
-                continue
-            best[succ] = (g2, path2)
-            heappush(heap, (g2 + h2, h2, path2, g2, succ))
+            best[succ] = key
+            heappush(heap, key + (succ,))
             generated += 1
 
     return PlanResult(False, None, expansions, generated, time.perf_counter() - start)

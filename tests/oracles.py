@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately uses different algorithms and data structures
-than the package: plans come from plain uniform-cost search over frozenset
-states (no heuristic, no bitmasks), h-max from a naive fixpoint over fact
-costs (no levels, no bitmasks), edit distance from memoized recursion
-(not the iterative two-row table), and minimal explanation effort and the
-concise explanation from exhaustive enumeration of change orderings (no
-heuristic search, no subset lattice).
+than the package.  The canonical plan (cheapest, then shortest, then
+lexicographically smallest by action names) comes from uniform-cost search
+over frozenset states (no bitmasks, no reachability check), and for tiny
+models also from enumerating action sequences by length in name order.
+Edit distance comes from memoized recursion (not the iterative two-row
+table), and minimal explanation effort and the concise explanation from
+exhaustive enumeration of change orderings (no heuristic search, no subset
+lattice).
 """
 
 from __future__ import annotations
@@ -33,48 +35,59 @@ from pegplan.model import ChangePreconditionError, InvalidEditError
 
 
 def uniform_cost_plan(model: Model) -> tuple[int, tuple[str, ...]] | None:
-    """Cheapest plan by Dijkstra over frozenset states; None if unsolvable."""
+    """The canonical plan by uniform-cost search over frozenset states.
+
+    Paths are popped by (cost, length, action names), an order that
+    appending one action to two paths keeps, so the first goal state popped
+    carries the cheapest, then shortest, then lexicographically smallest
+    plan.  Returns (cost, actions), or None if the model is unsolvable.
+    """
     start = frozenset(model.init)
     goal = frozenset(model.goal)
     frontier: list = [(0, 0, (), start)]
-    best = {start: 0}
-    tick = 0
+    best = {start: (0, 0, ())}
     while frontier:
-        g, _, path, state = heapq.heappop(frontier)
-        if g > best.get(state, inf):
+        g, n, path, state = heapq.heappop(frontier)
+        if (g, n, path) > best[state]:
             continue
         if goal <= state:
             return g, path
         for act in model.actions:
             if act.preconditions <= state:
                 nxt = (state - act.delete_effects) | act.add_effects
-                ng = g + act.cost
-                if ng < best.get(nxt, inf):
-                    best[nxt] = ng
-                    tick += 1
-                    heapq.heappush(frontier, (ng, tick, path + (act.name,), nxt))
+                key = (g + act.cost, n + 1, path + (act.name,))
+                if key < best.get(nxt, (inf,)):
+                    best[nxt] = key
+                    heapq.heappush(frontier, key + (nxt,))
     return None
 
 
-def hmax_fixpoint(model: Model, state: frozenset[Fact]) -> float | int:
-    """h-max by its definition: the least fixpoint of fact costs.
+def enumerated_plan(model: Model, cost: int) -> tuple[str, ...]:
+    """The first plan of the given cost among all action sequences listed
+    by length, and within a length in sorted name order.
 
-    cost(p) = 0 for p in ``state``, otherwise the minimum over the actions
-    adding p of the action's cost plus the largest cost among its
-    preconditions; the estimate is the largest goal-fact cost.  Computed by
-    relaxing every action until no cost drops.
+    With ``cost`` the model's optimal cost, this is the canonical plan by
+    its definition.  Sequences are extended depth-first from executable
+    prefixes no dearer than ``cost``; only feasible for tiny models.
     """
-    cost = {f: 0 if f in state else inf for f in model.facts}
-    changed = True
-    while changed:
-        changed = False
-        for act in model.actions:
-            ready = max((cost[p] for p in act.preconditions), default=0)
-            for fact in act.add_effects:
-                if ready + act.cost < cost[fact]:
-                    cost[fact] = ready + act.cost
-                    changed = True
-    return max((cost[g] for g in model.goal), default=0)
+    actions = sorted(model.actions, key=lambda a: a.name)
+    goal = model.goal
+
+    def first(state: frozenset, spent: int, depth: int) -> tuple[str, ...] | None:
+        if depth == 0:
+            return () if spent == cost and goal <= state else None
+        for act in actions:
+            if act.preconditions <= state and spent + act.cost <= cost:
+                nxt = (state - act.delete_effects) | act.add_effects
+                rest = first(nxt, spent + act.cost, depth - 1)
+                if rest is not None:
+                    return (act.name,) + rest
+        return None
+
+    for length in itertools.count():
+        plan = first(frozenset(model.init), 0, length)
+        if plan is not None:
+            return plan
 
 
 def levenshtein_recursive(a, b) -> int:

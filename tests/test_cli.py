@@ -297,3 +297,15 @@ class TestBenchAndSweep:
         monkeypatch.setenv("PEG_NODE_BUDGET", "soon")
         assert dispatch(["plan", "--fixture", FIXTURE]) == 1
         assert "PEG_NODE_BUDGET" in capsys.readouterr().err
+
+    def test_negative_env_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("PEG_NODE_BUDGET", "-3")
+        assert dispatch(["plan", "--fixture", FIXTURE]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: PEG_NODE_BUDGET must be non-negative, got '-3'\n"
+
+    def test_negative_node_budget_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["plan", "--fixture", FIXTURE, "--node-budget", "-1"])
+        assert exc.value.code == 2
+        assert "--node-budget" in capsys.readouterr().err

@@ -4,9 +4,9 @@ Most instances come from ``constrained_reconciliation``: some pool changes
 raise :class:`InvalidEditError` until another change has been applied, so
 the searches must route around invalid edits.  Concise completeness checks
 refute models with earlier planner calls' cheaper plans, and progressive
-infers the optimal cost of cost-raising children from their parents, so
-both are also checked against planning every model, and the work of each
-mode is bounded on a rover instance.
+infers the optimal cost and plans of cost-raising children from their
+parents, so both are also checked against planning every model, and the
+work of each mode is bounded on a rover instance.
 """
 
 import itertools
@@ -107,7 +107,7 @@ def test_witness_refutation_agrees_with_planning_every_model(monkeypatch):
             assert got == planned_is_complete(problem, model), [c.render() for c in subset]
             at_target = problem.target_plan_cost(model) == problem.robot_plan.cost
             if at_target and not got and planned["calls"] == before:
-                refuted += 1  # answered by a witness, not by A*
+                refuted += 1  # answered by a witness, not by the planner
     assert refuted > 0
 
 
@@ -150,8 +150,9 @@ def _record_nodes(monkeypatch) -> list:
 
 def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
     """Every expanded node's h equals the h of its planned model, and every
-    node's cost*, generated or expanded, equals the planner's, also where
-    the search proved it without planning."""
+    node's info, generated or expanded, equals the planner's: cost*, the
+    anchored plan and the canonical plan, also where the search inferred
+    them without planning."""
     created = _record_nodes(monkeypatch)
     rng = random.Random(47)
     unplanned = 0
@@ -180,13 +181,9 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                     remaining = len(problem.pool) - size
                     assert h == heuristic(metric, variant, ctx, remaining), (i, metric, variant)
                 for node in created:
-                    cost, _, optimum = node.info
-                    planned_cost, _, planned_optimum = fresh._cost_and_plan(node.model)
-                    assert (cost, optimum is None) == (planned_cost, planned_optimum is None), (
-                        i, metric, variant,
-                    )
-                    if optimum is not None and node.model not in problem._plan_cache:
-                        inferred += 1  # solvable, and its cost* proven without A*
+                    assert node.info == fresh._cost_and_plan(node.model), (i, metric, variant)
+                    if node.info[2] is not None and node.model not in problem._plan_cache:
+                        inferred += 1  # solvable, and its info proven without planning
     assert unplanned > 0 and inferred > 0
 
 

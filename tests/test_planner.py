@@ -1,7 +1,14 @@
-"""Optimal-planner tests, including the uniform-cost and h-max cross-checks."""
+"""Optimal-planner tests, including the canonical-plan cross-checks.
+
+Re-record ``planner_pins.json`` (only when an output change is intended and
+explained)::
+
+    PYTHONPATH=src python tests/test_planner.py --record
+"""
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,16 +25,16 @@ from pegplan import (
     plan_cost,
     validate_plan,
 )
+from pegplan.pddl import ground, parse_domain, parse_problem
 
-from pegplan.planner import _Compiled, _hmax
-
-from oracles import hmax_fixpoint, random_model, random_solvable_model, uniform_cost_plan
+from conftest import BENCHMARKS
+from oracles import enumerated_plan, random_model, random_solvable_model, uniform_cost_plan
 
 P, Q, G = Fact("p"), Fact("q"), Fact("g")
 
-# Plans and search counters of the instances below, recorded while h-max
-# was still computed by Dijkstra over facts.  A* keys on h, so any drift in
-# h-max values or tie-breaks shows up here.
+# Canonical plans and search counters of the instances below.  The plans
+# are fixed by their definition; the counters change with the search, so a
+# change to how the planner explores shows up here.
 PINS = Path(__file__).with_name("planner_pins.json")
 
 
@@ -147,44 +154,51 @@ class TestOptimalPlan:
         assert validate_plan(result.plan, rover_p01).ok
 
 
-class TestHmax:
-    @pytest.mark.parametrize("min_cost,max_cost", [(0, 1), (0, 9), (1, 9)])
-    def test_matches_fixpoint_oracle_on_every_state(self, min_cost, max_cost):
-        rng = random.Random(40 + 10 * min_cost + max_cost)
-        for _ in range(150):
-            m = random_model(rng, min_cost=min_cost, max_cost=max_cost)
-            c = _Compiled(m)
-            for state in range(1 << len(c.facts)):
-                facts = frozenset(f for i, f in enumerate(c.facts) if state >> i & 1)
-                assert _hmax(c, state) == hmax_fixpoint(m, facts), (m, sorted(facts))
+class TestCanonicalPlan:
+    """The plan returned is the cheapest, then shortest, then
+    lexicographically smallest one, on every instance checked."""
 
-    def test_zero_cost_actions_chain_within_a_level(self):
+    @staticmethod
+    def planned(model: Model) -> tuple[int, tuple[str, ...]] | None:
+        result = optimal_plan(model)
+        return (result.plan.cost, result.plan.actions) if result.solvable else None
+
+    def test_matches_oracle_on_pinned_instances(self, rover_p01, rover_p02):
+        models = pinned_models(rover_p01, rover_p02)
+        differ = [name for name, m in models.items() if self.planned(m) != uniform_cost_plan(m)]
+        assert differ == []
+
+    def test_matches_oracles_on_random_models(self):
+        rng = random.Random(53)
+        solvable = 0
+        for i in range(2100):
+            if i % 3 == 0:
+                m = random_model(rng, min_cost=0, max_cost=1)
+            else:
+                m = random_model(rng)
+            want = uniform_cost_plan(m)
+            assert self.planned(m) == want, m
+            if want is not None:
+                solvable += 1
+                assert enumerated_plan(m, want[0]) == want[1], m
+        assert solvable > 1000
+
+    def test_zero_cost_loop_is_not_taken(self):
+        # set-q and clear-q cost nothing and cycle between {p} and {p, q}.
+        # By names alone (set-q, win) beats (win), (set-q, clear-q, set-q,
+        # win) beats that, and so on with no least plan; length comes first.
         m = Model(
             frozenset({P, Q, G}),
             (
-                GroundAction("free-q", frozenset({P}), frozenset({Q}), frozenset(), 0),
-                GroundAction("free-g", frozenset({Q}), frozenset({G}), frozenset(), 0),
-                GroundAction("paid-g", frozenset({P}), frozenset({G}), frozenset(), 4),
+                GroundAction("clear-q", frozenset({Q}), frozenset(), frozenset({Q}), 0),
+                GroundAction("set-q", frozenset({P}), frozenset({Q}), frozenset(), 0),
+                GroundAction("win", frozenset({P}), frozenset({G}), frozenset(), 1),
             ),
             frozenset({P}),
             frozenset({G}),
         )
-        c = _Compiled(m)
-        assert _hmax(c, c.init_mask) == 0
-        assert _hmax(c, 0) == float("inf")
-
-    def test_goal_cost_is_the_dearest_goal_fact(self):
-        m = Model(
-            frozenset({P, Q, G}),
-            (
-                GroundAction("to-q", frozenset({P}), frozenset({Q}), frozenset(), 2),
-                GroundAction("to-g", frozenset({P}), frozenset({G}), frozenset(), 5),
-            ),
-            frozenset({P}),
-            frozenset({Q, G}),
-        )
-        c = _Compiled(m)
-        assert _hmax(c, c.init_mask) == 5
+        assert self.planned(m) == (1, ("win",))
+        assert enumerated_plan(m, 1) == ("win",)
 
 
 class TestPinnedSearch:
@@ -233,3 +247,17 @@ class TestValidatePlan:
         result = validate_plan(("one",), chain_model())
         assert not result.ok
         assert "goal" in result.message.lower()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    rover = BENCHMARKS / "rover"
+    domain = parse_domain((rover / "domain.pddl").read_text())
+    p01, p02 = (
+        ground(domain, parse_problem((rover / f"{p}.pddl").read_text())) for p in ("p01", "p02")
+    )
+    records = {name: search_record(m) for name, m in pinned_models(p01, p02).items()}
+    lines = (f"  {json.dumps(name)}: {json.dumps(rec)}" for name, rec in records.items())
+    PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"recorded {len(records)} pins in {PINS}")
