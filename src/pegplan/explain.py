@@ -31,7 +31,8 @@ from .model import (
     apply_change,
     delta,
 )
-from .planner import BudgetExceededError, Plan, PlanResult, optimal_plan, plan_cost
+from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit
+from .planner import compile_edits, compile_model, optimal_plan, plan_cost
 
 __all__ = [
     "ReconciliationError",
@@ -64,8 +65,9 @@ class ReconciliationProblem:
     The robot plan must be optimal in the robot model.  Fact universes of
     the two models are merged so that any feature of one can be applied to
     the other; action-name universes must already agree.  Planner calls are
-    memoized per model so repeated searches over the same problem share
-    work.
+    memoized per compiled model (see :mod:`~pegplan.planner`) so repeated
+    searches over the same problem share work.  The per-model queries take
+    a :class:`Model` or its :class:`~pegplan.planner.CompiledModel`.
     """
 
     def __init__(
@@ -83,7 +85,7 @@ class ReconciliationProblem:
         self.robot = robot.with_facts(universe)
         self.human = human.with_facts(universe)
         self.node_budget = node_budget
-        self._plan_cache: dict[Model, PlanResult] = {}
+        self._plan_cache: dict[CompiledModel, PlanResult] = {}
         self._witnesses: list[tuple[str, ...]] = []
 
         robot_result = self.plan_result(self.robot)
@@ -111,6 +113,10 @@ class ReconciliationProblem:
         self._feature_order: tuple[int, ...] = tuple(
             sorted(range(len(self._changes)), key=lambda i: self._changes[i].feature.render())
         )
+        # The lattice in compiled form: each node is the human state with
+        # the edits of its pool changes applied.
+        self._human_state = compile_model(self.human)
+        self._edits = compile_edits(self.human, self._changes)
         # Each action has at most one cost change in the pool and keeps the
         # human's cost until it is applied, so whether a pool change raises
         # cost is the same at every node that lacks it.
@@ -123,18 +129,19 @@ class ReconciliationProblem:
 
     # -- memoized per-model queries ------------------------------------
 
-    def plan_result(self, model: Model) -> PlanResult:
-        result = self._plan_cache.get(model)
+    def plan_result(self, model: Model | CompiledModel) -> PlanResult:
+        state = compile_model(model)
+        result = self._plan_cache.get(state)
         if result is None:
-            result = optimal_plan(model, node_budget=self.node_budget)
-            self._plan_cache[model] = result
+            result = optimal_plan(state, node_budget=self.node_budget)
+            self._plan_cache[state] = result
         return result
 
-    def target_plan_cost(self, model: Model) -> int | None:
+    def target_plan_cost(self, model: Model | CompiledModel) -> int | None:
         """Cost of the robot plan in ``model``, or None when infeasible."""
         return plan_cost(self.robot_plan.actions, model)
 
-    def anchored_plan(self, model: Model) -> tuple[str, ...]:
+    def anchored_plan(self, model: Model | CompiledModel) -> tuple[str, ...]:
         """The model's canonical optimal plan, anchored to the robot plan.
 
         When the robot plan is among the model's optima it is taken as the
@@ -146,15 +153,16 @@ class ReconciliationProblem:
         return self._cost_and_plan(model)[1]
 
     def _cost_and_plan(
-        self, model: Model
+        self, model: Model | CompiledModel
     ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
         """cost*(model), 0 when unsolvable, the anchored plan, and the
         canonical plan (None when unsolvable)."""
-        result = self.plan_result(model)
+        state = compile_model(model)
+        result = self.plan_result(state)
         if not result.solvable:
             return 0, (), None
         plan = result.plan
-        if self.target_plan_cost(model) == plan.cost:
+        if self.target_plan_cost(state) == plan.cost:
             return plan.cost, self.robot_plan.actions, plan.actions
         return plan.cost, plan.actions, plan.actions
 
@@ -163,14 +171,15 @@ class ReconciliationProblem:
 
     # -- reconciliation predicates -------------------------------------
 
-    def cost_gap(self, model: Model) -> float | int:
+    def cost_gap(self, model: Model | CompiledModel) -> float | int:
         """cost(robot plan, model) - cost*(model); inf when infeasible."""
-        target = self.target_plan_cost(model)
+        state = compile_model(model)
+        target = self.target_plan_cost(state)
         if target is None:
             return inf
-        return target - self._cost_and_plan(model)[0]
+        return target - self._cost_and_plan(state)[0]
 
-    def is_complete_model(self, model: Model) -> bool:
+    def is_complete_model(self, model: Model | CompiledModel) -> bool:
         """Is the robot plan optimal in ``model`` at its robot-side cost?
 
         The robot plan must be feasible there at exactly its robot cost,
@@ -183,18 +192,19 @@ class ReconciliationProblem:
         than the target becomes a witness; the list is kept most recently
         useful first.
         """
-        target = self.target_plan_cost(model)
+        state = compile_model(model)
+        target = self.target_plan_cost(state)
         if target is None or target != self.robot_plan.cost:
             return False
-        result = self._plan_cache.get(model)
+        result = self._plan_cache.get(state)
         if result is None:
             witnesses = self._witnesses
             for k, witness in enumerate(witnesses):
-                cost = plan_cost(witness, model)
+                cost = plan_cost(witness, state)
                 if cost is not None and cost < target:
                     witnesses.insert(0, witnesses.pop(k))
                     return False
-            result = self.plan_result(model)
+            result = self.plan_result(state)
             if result.solvable and result.plan.cost < target:
                 # every witness has just failed here, so this one is new
                 witnesses.insert(0, result.plan.actions)
@@ -385,11 +395,16 @@ class SearchInstrument:
 class _Node:
     g: Fraction | int
     idx_seq: tuple[int, ...]  # candidate positions along the path
-    model: Model | tuple[Model, FeatureChange]  # or (parent model, change) until popped
+    state: CompiledModel | None  # the subset's model; concise derives it when popped
     h: Fraction | float
     # (cost*, anchored plan, canonical plan or None when unsolvable)
     info: tuple[int, tuple[str, ...], tuple[str, ...] | None] | None
     closed: bool = False
+
+
+def _check_metric(metric: object) -> None:
+    if not isinstance(metric, MetricKind):
+        raise ValueError(f"unknown metric {metric!r}: expected a MetricKind")
 
 
 def _build_trace(
@@ -465,27 +480,34 @@ def _search(
     Returns the changes of the first complete node expanded, with the
     expansion and generation counts.  Nodes are popped by (f, h, size,
     pool-index sequence, candidate-position sequence), and a subset keeps
-    its path of lowest (g, candidate positions).  A subset's model depends
-    on the subset alone, and so does whether it has one: from a valid
-    parent only an add/delete overlap on the edited action can fail.
+    its path of lowest (g, candidate positions).  A node holds its subset's
+    compiled model, derived from its parent's with one edit
+    (:func:`~pegplan.planner.apply_edit`).  That model depends on the
+    subset alone, and so does whether it has one: from a valid parent only
+    an add/delete overlap on the edited action can fail, which the edit
+    reports as None.
 
     Without ``score`` every step costs 1 and h = 0: all paths to a subset
     then cost the same, so a subset already generated is skipped,
-    candidates need no ordering, and a child stores (parent model, change)
-    until it is popped, so only expanded nodes derive a model.  A child
-    whose edit is invalid is then dropped uncounted as an expansion.
+    candidates need no ordering, and a child is derived from its parent
+    only when it is popped.  A child whose edit is invalid is then dropped
+    uncounted as an expansion.
 
     With ``score``, a node at or below the robot cost tries the
     cost-raising changes first (they close the usual gap faster), each part
     keeping the feature order; ``score(parent, i, known, child_remaining)``
     prices the edge that adds pool change ``i`` as
-    (child model, step, h, info), or returns None for a dead end or an
+    (child state, step, h, info), or returns None for a dead end or an
     invalid edit; ``known`` is the child subset's node if it has one.  A
     node is complete when its cost* and the robot plan's cost there both
     equal the robot cost: a feasible robot plan makes the model solvable,
     so this plans nothing.
+
+    ``on_node(model, h, changes)`` sees each expanded node as a
+    :class:`Model`, built from its path only for that call.
     """
     changes = problem._changes
+    edits = problem._edits
     robot_cost = problem.robot_plan.cost
     nodes = {0: root}
     heap: list = [(root.h, root.h, 0, (), (), 0)]
@@ -498,21 +520,22 @@ def _search(
         if node.closed or node.idx_seq != idx_seq:
             continue  # stale entry: the node was improved or already expanded
         node.closed = True
-        model = node.model
-        if isinstance(model, tuple):
-            try:
-                model = node.model = apply_change(*model)
-            except InvalidEditError:
+        if node.state is None:
+            parent = nodes[mask ^ 1 << seq[-1]]
+            node.state = apply_edit(parent.state, edits[seq[-1]])
+            if node.state is None:
                 continue  # no valid model holds this subset
+        state = node.state
         expansions += 1
         if node_budget is not None and expansions > node_budget:
             raise BudgetExceededError(f"{name} search exceeded the node budget of {node_budget}")
         if on_node:
-            on_node(model, node.h, tuple(changes[i] for i in seq))
+            path = tuple(changes[i] for i in seq)
+            on_node(problem.apply_changes(path), node.h, path)
         if score is None:
-            complete = problem.is_complete_model(model)
+            complete = problem.is_complete_model(state)
         else:
-            complete = node.info[0] == robot_cost == problem.target_plan_cost(model)
+            complete = node.info[0] == robot_cost == problem.target_plan_cost(state)
         if complete:
             return tuple(changes[i] for i in seq), expansions, generated
         order = problem._feature_order
@@ -525,18 +548,18 @@ def _search(
             if score is None:
                 if existing is not None:
                     continue
-                child_model, step, child_h, info = (model, changes[i]), 1, 0, None
+                child_state, step, child_h, info = None, 1, 0, None
             else:
                 scored = score(node, i, existing, len(remaining) - 1)
                 if scored is None:
                     continue
-                child_model, step, child_h, info = scored
+                child_state, step, child_h, info = scored
             child_g = node.g + step
             child_idx = idx_seq + (idx,)
             if existing is not None and (child_g, child_idx) >= (existing.g, existing.idx_seq):
                 continue
             child_seq = seq + (i,)
-            nodes[child_mask] = _Node(child_g, child_idx, child_model, child_h, info)
+            nodes[child_mask] = _Node(child_g, child_idx, child_state, child_h, info)
             generated += 1
             heappush(
                 heap,
@@ -573,6 +596,7 @@ def generate_progressive(
     parent's cost*.
     """
     start = time.perf_counter()
+    _check_metric(metric)
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
@@ -590,44 +614,43 @@ def generate_progressive(
             target_cost=target_cost,
         )
 
-    def child_info(parent: _Node, i: int, model: Model) -> tuple:
+    def child_info(parent: _Node, i: int, state: CompiledModel) -> tuple:
         """The child's info, planning it only where the parent's cannot decide it."""
         if problem._raising_mask >> i & 1:
             cost, _, optimum = parent.info
             if optimum is None:
                 return parent.info  # no plan to lose: still unsolvable
-            if plan_cost(optimum, model) == cost:
-                anchored = problem.target_plan_cost(model) == cost
+            if plan_cost(optimum, state) == cost:
+                anchored = problem.target_plan_cost(state) == cost
                 return cost, target_plan if anchored else optimum, optimum
-        return problem._cost_and_plan(model)
+        return problem._cost_and_plan(state)
 
     def score(parent: _Node, i: int, known: _Node | None, child_remaining: int):
         if known is None:
-            try:
-                model = apply_change(parent.model, problem._changes[i])
-            except InvalidEditError:
+            state = apply_edit(parent.state, problem._edits[i])
+            if state is None:
                 # e.g. adding a delete effect before the matching add
                 # effect was removed; the change stays available further down
                 return None
-            info = child_info(parent, i, model)
+            info = child_info(parent, i, state)
             ctx = context(parent.info, info)
             child_h = heuristic(metric, variant, ctx, child_remaining)
         else:
             # the subset's model, info and h depend on the subset alone
-            model, info, child_h = known.model, known.info, known.h
+            state, info, child_h = known.state, known.info, known.h
             ctx = context(parent.info, info)
         step_rho = rho(metric, ctx)
         if on_edge:
             on_edge(parent.h, step_rho, child_h)
         if child_h == inf:
             return None  # dead end: effort gap left but no changes to spend
-        return model, step_rho + epsilon, child_h, info
+        return state, step_rho + epsilon, child_h, info
 
-    root_info = problem._cost_and_plan(problem.human)
+    root_info = problem._cost_and_plan(problem._human_state)
     root_h = heuristic(metric, variant, context(root_info, root_info), len(problem.pool))
     if root_h == inf:
         raise ReconciliationError("no complete explanation is reachable")
-    root = _Node(Fraction(0), (), problem.human, root_h, root_info)
+    root = _Node(Fraction(0), (), problem._human_state, root_h, root_info)
     seq, expansions, generated = _search(
         problem, "progressive", node_budget, root, score,
         instrument.on_node if instrument else None,
@@ -647,13 +670,15 @@ def generate_concise(
     Among the complete explanations with the fewest changes, returns the
     one whose change sequence is lexicographically smallest by rendered
     change (every prefix of it must be a valid edit sequence).  ``metric``
-    only labels the trace's per-step effort records.  Only expanded nodes
-    derive a model, and most of them are rejected without planning: by the
-    robot plan's cost there, or by a witness plan (see
+    only labels the trace's per-step effort records.  A child's compiled
+    model is derived from its parent's only when the child is popped, and
+    most popped nodes are rejected without planning: by the robot plan's
+    cost there, or by a witness plan (see
     :meth:`ReconciliationProblem.is_complete_model`).
     """
     start = time.perf_counter()
-    root = _Node(0, (), problem.human, 0, None)
+    _check_metric(metric)
+    root = _Node(0, (), problem._human_state, 0, None)
     seq, expansions, generated = _search(problem, "concise", node_budget, root)
     return _build_trace(
         problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated, start

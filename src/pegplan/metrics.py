@@ -78,10 +78,11 @@ def rho(kind: MetricKind, ctx: StepContext) -> int:
         return abs(ctx.prev_cost - ctx.cur_cost)
     if kind is MetricKind.P2:
         return (ctx.prev_cost - ctx.cur_cost) ** 2
-    d = plan_edit_distance(ctx.prev_plan, ctx.cur_plan)
     if kind is MetricKind.P3:
-        return d
-    return d * d
+        return plan_edit_distance(ctx.prev_plan, ctx.cur_plan)
+    if kind is MetricKind.P4:
+        return plan_edit_distance(ctx.prev_plan, ctx.cur_plan) ** 2
+    raise ValueError(f"unknown metric {kind!r}: expected a MetricKind")
 
 
 def heuristic(
@@ -101,8 +102,10 @@ def heuristic(
         raise ValueError(f"unknown heuristic variant {variant!r}: expected 'paper' or 'safe'")
     if kind in (MetricKind.P1, MetricKind.P2):
         gap = abs(ctx.cur_cost - ctx.target_cost)
-    else:
+    elif kind in (MetricKind.P3, MetricKind.P4):
         gap = plan_edit_distance(ctx.cur_plan, ctx.target_plan)
+    else:
+        raise ValueError(f"unknown metric {kind!r}: expected a MetricKind")
     if gap == 0:
         return Fraction(0)
     if kind in (MetricKind.P1, MetricKind.P3):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
@@ -166,27 +166,6 @@ class Model:
                     f"action {act.name} references facts outside the universe: "
                     + ", ".join(sorted(f.render() for f in missing))
                 )
-
-    @classmethod
-    def _derive(
-        cls,
-        facts: frozenset[Fact],
-        actions: tuple[GroundAction, ...],
-        init: frozenset[Fact],
-        goal: frozenset[Fact],
-    ) -> "Model":
-        """A model from parts already known to be valid, skipping the checks.
-
-        The caller guarantees what ``__post_init__`` would establish: frozen
-        fact sets, actions sorted by unique name, and every referenced fact
-        inside ``facts``.
-        """
-        model = object.__new__(cls)
-        object.__setattr__(model, "facts", facts)
-        object.__setattr__(model, "actions", actions)
-        object.__setattr__(model, "init", init)
-        object.__setattr__(model, "goal", goal)
-        return model
 
     def action(self, name: str) -> GroundAction:
         for act in self.actions:
@@ -437,18 +416,18 @@ def model_distance(m1: Model, m2: Model) -> int:
     return len(delta(m1, m2))
 
 
-def _action_index(model: Model, name: str) -> int:
-    for i, act in enumerate(model.actions):
+_ACTION_SLOTS = {
+    FeatureKind.PRECONDITION: "preconditions",
+    FeatureKind.ADD_EFFECT: "add_effects",
+    FeatureKind.DELETE_EFFECT: "delete_effects",
+}
+
+
+def _action(model: Model, name: str) -> GroundAction:
+    for act in model.actions:
         if act.name == name:
-            return i
+            return act
     raise InvalidEditError(f"model has no action named {name!r}")
-
-
-def _with_action(model: Model, i: int, action: GroundAction) -> Model:
-    """``model`` with its i-th action swapped for ``action`` of the same name,
-    whose facts the caller has checked to lie in the universe."""
-    actions = model.actions[:i] + (action,) + model.actions[i + 1:]
-    return Model._derive(model.facts, actions, model.init, model.goal)
 
 
 def apply_change(model: Model, change: FeatureChange) -> Model:
@@ -457,64 +436,39 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
     Raises :class:`ChangePreconditionError` if the feature is already in the
     asserted state, and :class:`InvalidEditError` if the edit would leave the
     model invalid (unknown action, unknown fact, overlapping effects).  The
-    checks here cover everything an edit can break, so the result is derived
-    from ``model`` without revalidating the parts the edit left alone.
+    result is built, and validated, like any other :class:`Model`.
     """
     feat = change.feature
     adding = change.direction == "add"
-
-    if feat.kind is FeatureKind.COST:
-        if not adding:
-            raise InvalidEditError(
-                f"cannot remove {feat.render()}: cost features are replace-only"
-            )
-        i = _action_index(model, feat.owner)
-        act = model.actions[i]
-        if act.cost == feat.cost:
-            raise ChangePreconditionError(f"{feat.render()} is already present")
-        return _with_action(
-            model,
-            i,
-            GroundAction(act.name, act.preconditions, act.add_effects, act.delete_effects, feat.cost),
-        )
-
-    if feat.fact not in model.facts:
+    if feat.kind is FeatureKind.COST and not adding:
+        raise InvalidEditError(f"cannot remove {feat.render()}: cost features are replace-only")
+    if feat.fact is not None and feat.fact not in model.facts:
         raise InvalidEditError(
             f"cannot apply {change.render()}: fact {feat.fact.render()} is outside the universe"
         )
-
-    if feat.kind in (FeatureKind.INIT, FeatureKind.GOAL):
-        current = model.init if feat.kind is FeatureKind.INIT else model.goal
-        if adding and feat.fact in current:
-            raise ChangePreconditionError(f"{feat.render()} is already present")
-        if not adding and feat.fact not in current:
-            raise ChangePreconditionError(f"{feat.render()} is absent")
-        updated = current | {feat.fact} if adding else current - {feat.fact}
-        if feat.kind is FeatureKind.INIT:
-            return Model._derive(model.facts, model.actions, updated, model.goal)
-        return Model._derive(model.facts, model.actions, model.init, updated)
-
-    i = _action_index(model, feat.owner)
-    act = model.actions[i]
-    slot = {
-        FeatureKind.PRECONDITION: act.preconditions,
-        FeatureKind.ADD_EFFECT: act.add_effects,
-        FeatureKind.DELETE_EFFECT: act.delete_effects,
-    }[feat.kind]
-    if adding and feat.fact in slot:
-        raise ChangePreconditionError(f"{feat.render()} is already present")
-    if not adding and feat.fact not in slot:
-        raise ChangePreconditionError(f"{feat.render()} is absent")
-    updated = slot | {feat.fact} if adding else slot - {feat.fact}
-    pre, addf, delf = act.preconditions, act.add_effects, act.delete_effects
-    if feat.kind is FeatureKind.PRECONDITION:
-        pre = updated
-    elif feat.kind is FeatureKind.ADD_EFFECT:
-        addf = updated
+    if feat.kind is FeatureKind.INIT:
+        current = model.init
+    elif feat.kind is FeatureKind.GOAL:
+        current = model.goal
     else:
-        delf = updated
+        act = _action(model, feat.owner)
+        if feat.kind is FeatureKind.COST:
+            if act.cost == feat.cost:
+                raise ChangePreconditionError(f"{feat.render()} is already present")
+            return model.replace_action(replace(act, cost=feat.cost))
+        current = getattr(act, _ACTION_SLOTS[feat.kind])
+    if adding and feat.fact in current:
+        raise ChangePreconditionError(f"{feat.render()} is already present")
+    if not adding and feat.fact not in current:
+        raise ChangePreconditionError(f"{feat.render()} is absent")
+    updated = current | {feat.fact} if adding else current - {feat.fact}
+
+    if feat.kind is FeatureKind.INIT:
+        return Model(model.facts, model.actions, updated, model.goal)
+    if feat.kind is FeatureKind.GOAL:
+        return Model(model.facts, model.actions, model.init, updated)
     try:
-        new_act = GroundAction(act.name, pre, addf, delf, act.cost)
+        new_act = replace(act, **{_ACTION_SLOTS[feat.kind]: updated})
     except ModelError as exc:
         raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
-    return _with_action(model, i, new_act)
+    return model.replace_action(new_act)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .model import Fact, GroundAction, Model, ModelError, gamma
 
@@ -513,9 +513,16 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
         objs.sort()
 
     arities = {p.name: len(p.params) for p in domain.predicates}
-    empty_binding: dict[str, str] = {}
-    init_facts = frozenset(_ground_atom(a, empty_binding, arities) for a in problem.init)
-    goal_facts = frozenset(_ground_atom(a, empty_binding, arities) for a in problem.goal)
+    # One object per ground atom: set operations over the model's facts, and
+    # over every model edited from it, then match facts by identity.
+    interned: dict[Fact, Fact] = {}
+
+    def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> frozenset[Fact]:
+        facts = (_ground_atom(a, binding, arities) for a in lifted)
+        return frozenset(interned.setdefault(f, f) for f in facts)
+
+    init_facts = atoms(problem.init, {})
+    goal_facts = atoms(problem.goal, {})
 
     dynamic = {a.name for schema in domain.actions for a in schema.add_effects}
     dynamic |= {a.name for schema in domain.actions for a in schema.delete_effects}
@@ -534,9 +541,9 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
             pools.append(by_type[tname])
         for combo in product(*pools):
             binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
-            pre = frozenset(_ground_atom(a, binding, arities) for a in schema.preconditions)
-            add = frozenset(_ground_atom(a, binding, arities) for a in schema.add_effects)
-            dele = frozenset(_ground_atom(a, binding, arities) for a in schema.delete_effects)
+            pre = atoms(schema.preconditions, binding)
+            add = atoms(schema.add_effects, binding)
+            dele = atoms(schema.delete_effects, binding)
             statics = {f for f in pre if f.name not in dynamic}
             if not statics <= init_facts:
                 continue

@@ -11,22 +11,22 @@ actions, appending an action to two paths where one is a prefix of the
 other can reverse their name order, and a zero-cost loop can leave no
 lexicographically smallest cheapest plan at all.
 
-States are bitmasks over the model's fact universe.  Every model of a
-reconciliation problem shares one universe, so its bit order (facts sorted
-by rendered string) is computed once per universe and kept in a small
-cache, together with each action's precondition/add/delete masks; a search
-node that edits one action costs one new set of masks, not a recompile.
+States are bitmasks over the model's fact universe.  This module owns that
+encoding: :func:`compile_model` turns a model into a hashable
+:class:`CompiledModel`, :func:`compile_edits` turns unit changes into edits
+of it, and :func:`apply_edit` applies one.  A reconciliation search compiles
+the human model and its change pool once, and then derives every lattice
+node with one edit; the planner and :func:`plan_cost` accept either form.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappush, heappop
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .model import Fact, GroundAction, Model
+from .model import Fact, FeatureChange, FeatureKind, Model
 
 __all__ = [
     "Plan",
@@ -79,94 +79,108 @@ class ValidationResult:
     failed_index: int | None = None
 
 
-# Distinct fact universes kept compiled at once.  Every model of a
-# reconciliation problem shares one universe, so a handful covers any caller.
-_UNIVERSES_KEPT = 4
-# Distinct actions whose masks one universe remembers before it starts over.
-# A search node differs from its parent in at most one action, so a whole
-# rover lattice search needs about 200; the cap only bounds memory.
-_ACTION_MASKS_KEPT = 1024
+class CompiledModel(NamedTuple):
+    """A model as bitmasks over its fact universe, for the planner's inner loop.
 
-
-class _Universe:
-    """Bit assignment of one fact universe, with memoized action masks.
-
-    Facts get bits in the order of their rendered strings.
+    Facts get bits in the order of their rendered strings.  ``ops`` holds one
+    (pre, add, keep, cost, name) tuple per action in model order, where
+    ``keep`` clears the delete effects.  Equal models compile to equal
+    tuples, so a compiled model serves as a cache key for its model.
     """
 
-    __slots__ = ("bit", "action_masks")
-
-    def __init__(self, facts: frozenset[Fact]):
-        ordered = sorted(facts, key=lambda f: f.render())
-        self.bit = {f: 1 << i for i, f in enumerate(ordered)}
-        self.action_masks: dict[GroundAction, tuple[int, int, int]] = {}
-
-    def mask(self, facts: Iterable[Fact]) -> int:
-        bit = self.bit
-        m = 0
-        for f in facts:
-            m |= bit[f]
-        return m
-
-    def masks(self, act: GroundAction) -> tuple[int, int, int]:
-        """The (pre, add, del) masks of an action over this universe."""
-        got = self.action_masks.get(act)
-        if got is None:
-            if len(self.action_masks) >= _ACTION_MASKS_KEPT:
-                self.action_masks.clear()
-            got = (
-                self.mask(act.preconditions),
-                self.mask(act.add_effects),
-                self.mask(act.delete_effects),
-            )
-            self.action_masks[act] = got
-        return got
+    ops: tuple[tuple[int, int, int, int, str], ...]
+    init: int
+    goal: int
 
 
-@lru_cache(maxsize=_UNIVERSES_KEPT)
-def _universe(facts: frozenset[Fact]) -> _Universe:
-    return _Universe(facts)
+# An edit of a compiled model: (feature kind, action index or None, fact bit
+# or new cost).  It toggles the bit in the init, goal or the action's mask
+# of that kind, or replaces the action's cost.
+Edit = tuple[FeatureKind, int | None, int]
 
 
-class _Compiled:
-    """Bitmask encoding of a model for the search inner loop.
+def _fact_bits(model: Model) -> dict[Fact, int]:
+    ordered = sorted(model.facts, key=lambda f: f.render())
+    return {f: 1 << i for i, f in enumerate(ordered)}
 
-    ``ops`` holds one (pre, add, keep, cost, name) tuple per action in model
-    order, where ``keep`` clears the delete effects.
+
+def compile_model(model: Model | CompiledModel) -> CompiledModel:
+    """The model's bitmask encoding; a compiled model is returned as is."""
+    if isinstance(model, CompiledModel):
+        return model
+    bit = _fact_bits(model)
+
+    def mask(facts: Iterable[Fact]) -> int:
+        return sum(bit[f] for f in facts)  # distinct bits: the sum is their union
+
+    ops = tuple(
+        (mask(a.preconditions), mask(a.add_effects), ~mask(a.delete_effects), a.cost, a.name)
+        for a in model.actions
+    )
+    return CompiledModel(ops, mask(model.init), mask(model.goal))
+
+
+def compile_edits(model: Model, changes: Iterable[FeatureChange]) -> tuple[Edit, ...]:
+    """Each change as an edit of ``compile_model(model)``.
+
+    A toggle agrees with :func:`~pegplan.model.apply_change` wherever the
+    change's presence/absence precondition holds, as it does on every
+    subset of a reconciliation pool: no two pool changes share a feature.
     """
-
-    __slots__ = ("ops", "init_mask", "goal_mask")
-
-    def __init__(self, model: Model):
-        universe = _universe(model.facts)
-        self.ops = []
-        for act in model.actions:
-            pre, add, dele = universe.masks(act)
-            self.ops.append((pre, add, ~dele, act.cost, act.name))
-        self.init_mask = universe.mask(model.init)
-        self.goal_mask = universe.mask(model.goal)
-
-    def goal_relaxed_reachable(self) -> bool:
-        """Is the goal reachable when delete effects are ignored?
-
-        Otherwise no plan exists, which is decided here without a search.
-        """
-        reached, goal, waiting = self.init_mask, self.goal_mask, self.ops
-        while reached & goal != goal:
-            before = reached
-            unfired = []
-            for op in waiting:
-                if reached & op[0] == op[0]:
-                    reached |= op[1]
-                else:
-                    unfired.append(op)
-            if reached == before:
-                return False
-            waiting = unfired
-        return True
+    bit = _fact_bits(model)
+    index = {act.name: i for i, act in enumerate(model.actions)}
+    edits = []
+    for change in changes:
+        feat = change.feature
+        value = feat.cost if feat.fact is None else bit[feat.fact]
+        edits.append((feat.kind, index.get(feat.owner), value))
+    return tuple(edits)
 
 
-def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
+def apply_edit(state: CompiledModel, edit: Edit) -> CompiledModel | None:
+    """The compiled model with one edit applied, or None when the edit
+    leaves an action's add and delete effects overlapping."""
+    kind, i, value = edit
+    ops, init, goal = state
+    if kind is FeatureKind.INIT:
+        return CompiledModel(ops, init ^ value, goal)
+    if kind is FeatureKind.GOAL:
+        return CompiledModel(ops, init, goal ^ value)
+    pre, add, keep, cost, name = ops[i]
+    if kind is FeatureKind.PRECONDITION:
+        pre ^= value
+    elif kind is FeatureKind.ADD_EFFECT:
+        add ^= value
+    elif kind is FeatureKind.DELETE_EFFECT:
+        keep ^= value
+    else:
+        cost = value
+    if add & ~keep:
+        return None
+    return CompiledModel(ops[:i] + ((pre, add, keep, cost, name),) + ops[i + 1:], init, goal)
+
+
+def _goal_relaxed_reachable(state: CompiledModel) -> bool:
+    """Is the goal reachable when delete effects are ignored?
+
+    Otherwise no plan exists, which is decided here without a search.
+    """
+    reached, goal, waiting = state.init, state.goal, state.ops
+    while reached & goal != goal:
+        before = reached
+        unfired = []
+        for op in waiting:
+            if reached & op[0] == op[0]:
+                reached |= op[1]
+            else:
+                unfired.append(op)
+        if reached == before:
+            return False
+        waiting = unfired
+    return True
+
+
+def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -> PlanResult:
     """Find the model's canonical plan, or report unsolvability.
 
     The canonical plan is the cheapest, then the shortest, then the
@@ -175,12 +189,10 @@ def optimal_plan(model: Model, node_budget: int | None = None) -> PlanResult:
     when ``node_budget`` expansions are exceeded before an answer is found.
     """
     start = time.perf_counter()
-    c = _Compiled(model)
-    if not c.goal_relaxed_reachable():
+    c = compile_model(model)
+    if not _goal_relaxed_reachable(c):
         return PlanResult(False, None, 0, 0, time.perf_counter() - start)
-    init = c.init_mask
-    goal = c.goal_mask
-    ops = c.ops
+    ops, init, goal = c
     expansions = 0
     generated = 0
 
@@ -227,26 +239,26 @@ def _plan_actions(plan: Plan | Sequence[str]) -> tuple[str, ...]:
     return tuple(plan)
 
 
-def plan_cost(plan: Plan | Sequence[str], model: Model) -> int | None:
+def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int | None:
     """Total cost of executing the plan in the model, or None if infeasible.
 
     Infeasible means an unmet precondition along the way or an unmet goal at
     the end.  Unknown action names raise :class:`UnknownActionError` instead,
     since they indicate a plan from a different action universe.
     """
-    actions = model.action_map()
-    state = set(model.init)
+    ops, state, goal = compile_model(model)
+    by_name = {op[4]: op for op in ops}
     total = 0
     for name in _plan_actions(plan):
-        act = actions.get(name)
-        if act is None:
+        op = by_name.get(name)
+        if op is None:
             raise UnknownActionError(f"model defines no action named {name!r}")
-        if not act.preconditions <= state:
+        pre, add, keep, cost, _ = op
+        if state & pre != pre:
             return None
-        state -= act.delete_effects
-        state |= act.add_effects
-        total += act.cost
-    if not model.goal <= state:
+        state = (state & keep) | add
+        total += cost
+    if state & goal != goal:
         return None
     return total
 

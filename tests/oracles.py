@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately uses different algorithms and data structures
-than the package.  The canonical plan (cheapest, then shortest, then
+than the package.  A plan's cost comes from simulating it over frozenset
+states (the package simulates over bitmasks).  The canonical plan (cheapest, then shortest, then
 lexicographically smallest by action names) comes from uniform-cost search
 over frozenset states (no bitmasks, no reachability check), and for tiny
 models also from enumerating action sequences by length in name order.
@@ -28,10 +29,30 @@ from pegplan import (
     ReconciliationProblem,
     apply_change,
     delta,
+    UnknownActionError,
     optimal_plan,
-    plan_cost,
 )
 from pegplan.model import ChangePreconditionError, InvalidEditError
+
+
+def simulated_cost(plan, model: Model) -> int | None:
+    """The plan's total cost by executing it over frozenset states.
+
+    None on an unmet precondition or an unmet goal; an action name the
+    model lacks raises :class:`UnknownActionError` when execution reaches it.
+    """
+    actions = {act.name: act for act in model.actions}
+    state = frozenset(model.init)
+    total = 0
+    for name in plan:
+        if name not in actions:
+            raise UnknownActionError(name)
+        act = actions[name]
+        if not act.preconditions <= state:
+            return None
+        state = (state - act.delete_effects) | act.add_effects
+        total += act.cost
+    return total if model.goal <= state else None
 
 
 def uniform_cost_plan(model: Model) -> tuple[int, tuple[str, ...]] | None:
@@ -194,7 +215,7 @@ def planned_is_complete(problem: ReconciliationProblem, model: Model) -> bool:
     The robot plan is feasible in ``model`` and an optimal plan there costs
     exactly the robot plan's cost in both models.
     """
-    target = plan_cost(problem.robot_plan.actions, model)
+    target = simulated_cost(problem.robot_plan.actions, model)
     result = optimal_plan(model)
     return (
         target is not None

@@ -2,11 +2,14 @@
 
 Most instances come from ``constrained_reconciliation``: some pool changes
 raise :class:`InvalidEditError` until another change has been applied, so
-the searches must route around invalid edits.  Concise completeness checks
-refute models with earlier planner calls' cheaper plans, and progressive
-infers the optimal cost and plans of cost-raising children from their
-parents, so both are also checked against planning every model, and the
-work of each mode is bounded on a rover instance.
+the searches must route around subsets whose compiled edit reports an
+add/delete overlap.  Those edits are checked against ``apply_change`` on
+every subset and order.  Concise completeness checks refute models with
+earlier planner calls' cheaper plans, and progressive infers the optimal
+cost and plans of cost-raising children from their parents, so both are
+also checked against planning every model.  The work of each mode is
+bounded on a rover instance, including how few :class:`Model` objects the
+search builds.
 """
 
 import itertools
@@ -25,7 +28,8 @@ from pegplan import (
     perturb_model,
 )
 from pegplan.metrics import StepContext, heuristic
-from pegplan.model import InvalidEditError
+from pegplan.model import InvalidEditError, apply_change
+from pegplan.planner import apply_edit, compile_model
 
 from oracles import (
     constrained_reconciliation,
@@ -37,25 +41,72 @@ from oracles import (
 )
 
 
-def _count_apply_change(monkeypatch) -> Counter:
-    """Count the searches' ``apply_change`` calls and their invalid edits."""
+def _count_derivations(monkeypatch) -> Counter:
+    """Count the searches' ``apply_change`` calls (each builds a Model), the
+    edits they derive nodes with, and the invalid subsets those edits meet."""
     counts = Counter()
-    original = explain.apply_change
+    original_change = explain.apply_change
+    original_edit = explain.apply_edit
 
-    def counting(model, change):
-        counts["calls"] += 1
-        try:
-            return original(model, change)
-        except InvalidEditError:
-            counts["invalid"] += 1
-            raise
+    def counting_change(model, change):
+        counts["apply_change"] += 1
+        return original_change(model, change)
 
-    monkeypatch.setattr(explain, "apply_change", counting)
+    def counting_edit(state, edit):
+        counts["edits"] += 1
+        child = original_edit(state, edit)
+        counts["invalid"] += child is None
+        return child
+
+    monkeypatch.setattr(explain, "apply_change", counting_change)
+    monkeypatch.setattr(explain, "apply_edit", counting_edit)
     return counts
 
 
+def _orders_agree(human, order) -> object:
+    """Apply ``order``, a sequence of (change, edit) pairs, with
+    ``apply_change`` and with compiled edits; both must stop at the same
+    step.  Returns the compiled model, or None when some step is invalid."""
+    model, state = human, compile_model(human)
+    for change, edit in order:
+        state = apply_edit(state, edit)
+        try:
+            model = apply_change(model, change)
+        except InvalidEditError:
+            assert state is None, change.render()
+            return None
+        assert state == compile_model(model), change.render()
+    return state
+
+
+def test_compiled_edits_agree_with_apply_change_on_every_subset():
+    """Every order of every pool subset: an edit is invalid exactly where
+    ``apply_change`` raises, every valid order ends in the compiled subset
+    model, and a subset has no valid order exactly when it has no model."""
+    rng = random.Random(59)
+    invalid = 0
+    for i in range(150):
+        make = random_reconciliation if i % 2 else constrained_reconciliation
+        problem = make(rng)
+        pairs = list(zip(problem._changes, problem._edits))
+        for r in range(len(pairs) + 1):
+            for subset in itertools.combinations(pairs, r):
+                model = subset_model(problem.human, [change for change, _ in subset])
+                want = None if model is None else compile_model(model)
+                ends = {
+                    _orders_agree(problem.human, order)
+                    for order in itertools.permutations(subset)
+                }
+                if want is None:
+                    assert ends == {None}
+                    invalid += 1
+                else:
+                    assert want in ends and ends <= {want, None}
+    assert invalid > 0
+
+
 def test_concise_is_the_lexicographically_smallest_minimum_explanation(monkeypatch):
-    counts = _count_apply_change(monkeypatch)
+    counts = _count_derivations(monkeypatch)
     rng = random.Random(1)
     for _ in range(1000):
         problem = constrained_reconciliation(rng)
@@ -66,7 +117,7 @@ def test_concise_is_the_lexicographically_smallest_minimum_explanation(monkeypat
 
 
 def test_progressive_reaches_minimum_effort_around_invalid_edits(monkeypatch):
-    counts = _count_apply_change(monkeypatch)
+    counts = _count_derivations(monkeypatch)
     rng = random.Random(29)
     for _ in range(120):
         problem = constrained_reconciliation(rng)
@@ -124,14 +175,17 @@ ROVER_P02_S7_CONCISE = [
 
 def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     """Pool of 19, 11,484 expansions: witnesses answer almost every
-    completeness check, and only expanded nodes derive a model."""
-    counts = _count_apply_change(monkeypatch)
+    completeness check, only popped nodes derive their compiled model, and
+    a Model is built only for each trace step."""
+    counts = _count_derivations(monkeypatch)
     human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 7))
     trace = generate_concise(ReconciliationProblem(rover_p02, human))
     assert [c.render() for c in trace.changes] == ROVER_P02_S7_CONCISE
     assert trace.expansions == 11_484
     assert trace.planner_calls <= 20
-    assert counts["calls"] <= 12_000
+    assert counts["apply_change"] <= len(trace.steps)
+    # one edit for each popped node but the root, invalid ones included
+    assert counts["edits"] == trace.expansions - 1 + counts["invalid"]
 
 
 def _record_nodes(monkeypatch) -> list:
@@ -175,14 +229,14 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                     ),
                 )
                 for model, h, size in expanded:
-                    unplanned += model not in problem._plan_cache
+                    unplanned += compile_model(model) not in problem._plan_cache
                     cost, plan, _ = fresh._cost_and_plan(model)
                     ctx = StepContext(cost, plan, cost, plan, target.actions, target.cost)
                     remaining = len(problem.pool) - size
                     assert h == heuristic(metric, variant, ctx, remaining), (i, metric, variant)
                 for node in created:
-                    assert node.info == fresh._cost_and_plan(node.model), (i, metric, variant)
-                    if node.info[2] is not None and node.model not in problem._plan_cache:
+                    assert node.info == fresh._cost_and_plan(node.state), (i, metric, variant)
+                    if node.info[2] is not None and node.state not in problem._plan_cache:
                         inferred += 1  # solvable, and its info proven without planning
     assert unplanned > 0 and inferred > 0
 
@@ -196,13 +250,17 @@ ROVER_P01_S1_PROGRESSIVE = [
 
 def test_progressive_work_on_rover_p01(rover_p01, monkeypatch):
     """Pool of 12, 3,582 expansions over 4,096 subsets: each subset is
-    derived once, and cost-raising children of unsolvable or unchanged
-    parents are not planned."""
-    counts = _count_apply_change(monkeypatch)
+    derived once, cost-raising children of unsolvable or unchanged parents
+    are not planned, and a Model is built only for each trace step."""
+    counts = _count_derivations(monkeypatch)
     human, _, _ = perturb_model(rover_p01, PerturbSpec(0.14, 1))
-    trace = generate_progressive(ReconciliationProblem(rover_p01, human), metric=MetricKind.P2)
+    problem = ReconciliationProblem(rover_p01, human)
+    trace = generate_progressive(problem, metric=MetricKind.P2)
     assert [c.render() for c in trace.changes] == ROVER_P01_S1_PROGRESSIVE
     assert trace.sum_rho == 121
     assert trace.expansions == 3_582
     assert trace.planner_calls <= 600
-    assert counts["calls"] <= 4_500
+    assert counts["apply_change"] <= len(trace.steps)
+    # at most one edit for each subset but the root: none of them is invalid
+    assert counts["invalid"] == 0
+    assert counts["edits"] < 2 ** len(problem.pool)

@@ -7,7 +7,16 @@ from math import inf
 import pytest
 from hypothesis import given, strategies as st
 
-from pegplan import MetricKind, StepContext, heuristic, plan_edit_distance, rho
+from pegplan import (
+    MetricKind,
+    ReconciliationProblem,
+    StepContext,
+    generate_concise,
+    generate_progressive,
+    heuristic,
+    plan_edit_distance,
+    rho,
+)
 
 from oracles import levenshtein_recursive, random_action_sequence
 
@@ -134,3 +143,31 @@ class TestHeuristic:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             heuristic(MetricKind.P1, "fast", ctx(), 1)
+
+
+class TestMetricMustBeAKind:
+    """A metric name is not a metric: it used to be scored as p4."""
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
+    def test_rho_rejects_a_name(self, name):
+        with pytest.raises(ValueError, match="unknown metric"):
+            rho(name, ctx(prev_cost=5, cur_cost=10, cur_plan=("a",)))
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
+    def test_heuristic_rejects_a_name(self, name):
+        with pytest.raises(ValueError, match="unknown metric"):
+            heuristic(name, "safe", ctx(cur_cost=4, target_cost=10, target_plan=("a",)), 3)
+
+    @pytest.mark.parametrize("generate", [generate_progressive, generate_concise])
+    def test_searches_reject_a_name(self, errand_fixture_pair, generate):
+        problem = ReconciliationProblem(*errand_fixture_pair)
+        with pytest.raises(ValueError, match="unknown metric"):
+            generate(problem, metric="p1")
+
+    def test_searches_score_each_kind(self, errand_fixture_pair):
+        problem = ReconciliationProblem(*errand_fixture_pair)
+        assert generate_progressive(problem, metric=MetricKind.P1).sum_rho == 6
+        assert generate_progressive(problem, metric=MetricKind.P2).sum_rho == 26
+        concise = generate_concise(problem, metric=MetricKind.P1)
+        assert concise.metric is MetricKind.P1
+        assert concise.sum_rho == concise.sum_rho_for(MetricKind.P1)

@@ -327,8 +327,9 @@ def every_change(model: Model) -> list[FeatureChange]:
 
 
 class TestDerivedModels:
-    """apply_change derives children without revalidating the whole model;
-    the children must be indistinguishable from fully validated ones."""
+    """apply_change builds each child through the validating constructor;
+    a child must equal, and hash like, the same model built from its parts
+    and the one rebuilt from its features, also a level further down."""
 
     def assert_derivations_match_validated_models(self, model: Model) -> int:
         derived = 0
@@ -359,7 +360,7 @@ class TestDerivedModels:
         assert self.assert_derivations_match_validated_models(rover_p01) > 0
 
     def test_derived_children_keep_every_edit_check(self):
-        # start from a derived model so each check runs on the fast path
+        # start from a derived model so each check runs on an edited parent
         m = apply_change(tiny_model(3), parse_change("add go-has-cost-5"))
         with pytest.raises(InvalidEditError):
             apply_change(m, parse_change("add go-has-delete-effect-g"))  # overlap

@@ -154,6 +154,13 @@ class TestGrounding:
         assert Fact("can_traverse", ("rover0", "w2", "w1")) in nav.preconditions
         assert Fact("visible", ("w2", "w1")) in nav.preconditions
 
+    def test_one_fact_object_per_atom(self, rover_p01):
+        universe = {id(f) for f in rover_p01.facts}
+        used = [rover_p01.init, rover_p01.goal]
+        for act in rover_p01.actions:
+            used += [act.preconditions, act.add_effects, act.delete_effects]
+        assert all(id(f) in universe for facts in used for f in facts)
+
     def test_add_wins_when_effects_overlap(self):
         model = ground(parse_domain(TOGGLER), parse_problem(TOGGLER_PROBLEM))
         flip = model.action("flip")

@@ -26,9 +26,17 @@ from pegplan import (
     validate_plan,
 )
 from pegplan.pddl import ground, parse_domain, parse_problem
+from pegplan.planner import compile_model
 
 from conftest import BENCHMARKS
-from oracles import enumerated_plan, random_model, random_solvable_model, uniform_cost_plan
+from oracles import (
+    enumerated_plan,
+    random_action_sequence,
+    random_model,
+    random_solvable_model,
+    simulated_cost,
+    uniform_cost_plan,
+)
 
 P, Q, G = Fact("p"), Fact("q"), Fact("g")
 
@@ -229,6 +237,55 @@ class TestPlanCost:
     def test_unknown_action_raises(self):
         with pytest.raises(UnknownActionError):
             plan_cost(("teleport",), chain_model())
+
+
+class TestPlanCostOracle:
+    """plan_cost, given a model or its compiled form, against the frozenset
+    simulation in ``oracles.simulated_cost``."""
+
+    @staticmethod
+    def outcome(cost_of, plan, model):
+        try:
+            return cost_of(plan, model)
+        except UnknownActionError:
+            return "unknown"
+
+    def assert_agrees(self, plan, model):
+        want = self.outcome(simulated_cost, plan, model)
+        assert self.outcome(plan_cost, plan, model) == want, (plan, model)
+        assert self.outcome(plan_cost, plan, compile_model(model)) == want, (plan, model)
+        return want
+
+    def test_pinned_plans_and_their_prefixes(self, rover_p01, rover_p02):
+        pins = json.loads(PINS.read_text())
+        models = pinned_models(rover_p01, rover_p02)
+        for name, (plan, cost, _, _) in pins.items():
+            if plan is None:
+                continue
+            assert self.assert_agrees(plan, models[name]) == cost, name
+            for k in range(len(plan)):
+                self.assert_agrees(plan[:k], models[name])
+                self.assert_agrees(plan[k + 1:], models[name])
+
+    def test_random_action_sequences(self):
+        rng = random.Random(61)
+        seen = {"feasible": 0, "zero-cost": 0, "unmet precondition": 0, "unmet goal": 0, "unknown": 0}
+        for i in range(1500):
+            model = random_model(rng, min_cost=0, max_cost=1 if i % 3 == 0 else 9)
+            names = [act.name for act in model.actions] + (["teleport"] if i % 5 == 0 else [])
+            plan = random_action_sequence(rng, names)
+            got = self.assert_agrees(plan, model)
+            check = validate_plan(plan, model)
+            if got == "unknown":
+                seen["unknown"] += 1
+            elif got is not None:
+                seen["feasible"] += 1
+                seen["zero-cost"] += any(model.action(a).cost == 0 for a in plan)
+            elif check.failed_index is None:
+                seen["unmet goal"] += 1
+            elif check.failed_index > 0:
+                seen["unmet precondition"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestValidatePlan:
