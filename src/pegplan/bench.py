@@ -3,8 +3,17 @@
 A human model is simulated by deleting each eligible feature of the robot
 model with a fixed probability (Mersenne Twister via ``random.Random``,
 iterating features in sorted order, one draw per feature, removing when the
-draw falls below the probability).  Each run then compares the progressive
-explanation against the concise one on the same perturbed model.
+draw falls below the probability).
+
+Both studies build every record with one pipeline: perturb the robot
+model, build the :class:`ReconciliationProblem`, plan the human model, then
+run the progressive search and, for the comparison, the concise one on the
+same problem.  A node budget blown anywhere in that pipeline gives a failed
+record rather than an error.  :func:`run_comparison` and
+:func:`sweep_missing_prob` only lay out their grids and map the traces to
+their record fields.  The sweep checks its whole grid (bounds in [0, 1], a
+positive step, at most :data:`MAX_SWEEP_PROBES` probes) before the first
+probe runs.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -25,7 +35,7 @@ from .explain import (
     generate_progressive,
 )
 from .metrics import MetricKind
-from .model import FeatureChange, FeatureKind, Model, gamma
+from .model import FeatureChange, FeatureKind, Model, apply_change, gamma
 from .pddl import DomainAst, ProblemAst, ground
 from .planner import BudgetExceededError
 
@@ -53,15 +63,8 @@ DEFAULT_ELIGIBLE_KINDS = frozenset(
 # progressive search, so a finer grid is a typo rather than a study.
 MAX_SWEEP_PROBES = 1000
 
-_PERTURBABLE_KINDS = frozenset(
-    {
-        FeatureKind.INIT,
-        FeatureKind.GOAL,
-        FeatureKind.PRECONDITION,
-        FeatureKind.ADD_EFFECT,
-        FeatureKind.DELETE_EFFECT,
-    }
-)
+# Costs are never deleted: every other kind of feature may be.
+_PERTURBABLE_KINDS = frozenset(FeatureKind) - {FeatureKind.COST}
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,6 @@ def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
     pool size.  Deterministic for a fixed spec: features are visited in
     sorted order with one uniform draw each.
     """
-    import random
-
-    from .model import apply_change
-
     pool = eligible_features(robot, spec.eligible_kinds)
     rng = random.Random(spec.seed)
     removed = [f for f in pool if rng.random() < spec.missing_prob]
@@ -184,49 +183,58 @@ def _averages(records: Iterable, columns: tuple[str, ...]) -> dict:
     }
 
 
-def _run_once(
-    robot: Model,
-    spec: PerturbSpec,
-    metric: MetricKind,
-    variant: str,
-    epsilon: Fraction,
-    node_budget: int | None,
-    run_index: int,
-) -> RunRecord:
+def _perturb_and_explain(
+    robot: Model, spec: PerturbSpec, modes: tuple[str, ...], metric: MetricKind,
+    variant: str, epsilon: Fraction, node_budget: int | None,
+) -> tuple[dict, tuple[ExplanationTrace, ...]]:
+    """One record's pipeline: perturb, reconcile, then search in ``modes``.
+
+    ``modes`` lists "peg" and/or "concise", searched in that order on one
+    problem.  Returns the fields every record shares and the traces; when
+    the node budget is blown (planning either model or searching), the
+    fields say so and the traces are empty.
+    """
     human, missing, pool = perturb_model(robot, spec)
-    unsolvable = False
+    fields = dict(
+        seed=spec.seed, missing_features=missing, pool_size=pool, human_unsolvable=False
+    )
     try:
         problem = ReconciliationProblem(robot, human, node_budget=node_budget)
-        unsolvable = not problem.plan_result(problem.human).solvable
-        peg = generate_progressive(
-            problem, metric=metric, variant=variant, epsilon=epsilon, node_budget=node_budget
+        fields["human_unsolvable"] = not problem.plan_result(problem.human).solvable
+        traces = tuple(
+            generate_progressive(
+                problem, metric=metric, variant=variant, epsilon=epsilon,
+                node_budget=node_budget,
+            )
+            if mode == "peg"
+            else generate_concise(problem, metric=metric, node_budget=node_budget)
+            for mode in modes
         )
-        concise = generate_concise(problem, metric=metric, node_budget=node_budget)
     except BudgetExceededError as exc:
-        return RunRecord(
-            run_index=run_index,
-            seed=spec.seed,
-            missing_features=missing,
-            pool_size=pool,
-            human_unsolvable=unsolvable,
-            failed=True,
-            failure=str(exc),
-        )
-    return RunRecord(
-        run_index=run_index,
-        seed=spec.seed,
-        missing_features=missing,
-        pool_size=pool,
-        human_unsolvable=unsolvable,
-        peg_size=peg.size,
-        peg_sum_rho_p2=peg.sum_rho_for(MetricKind.P2),
-        peg_expansions=peg.expansions,
-        peg_wall_time=peg.wall_time,
-        concise_size=concise.size,
-        concise_sum_rho_p2=concise.sum_rho_for(MetricKind.P2),
-        concise_expansions=concise.expansions,
-        concise_wall_time=concise.wall_time,
-    )
+        return {**fields, "failed": True, "failure": str(exc)}, ()
+    return fields, traces
+
+
+def _report(
+    kind: str, records: list, averaged: tuple[str, ...], robot: Model, grid: dict,
+    seed: int, eligible_kinds: frozenset[FeatureKind], metric: MetricKind, variant: str,
+    epsilon: Fraction, node_budget: int | None, **counts: int,
+) -> Report:
+    """A study's report.  ``grid`` and ``counts`` are the study's own
+    configuration keys, echoed after the robot digest and before the budget."""
+    config = {
+        "kind": kind,
+        "robot_digest": robot.digest(),
+        **grid,
+        "seed": seed,
+        "eligible_kinds": sorted(k.value for k in eligible_kinds),
+        "metric": metric.value,
+        "variant": variant,
+        "epsilon": str(Fraction(epsilon)),
+        **counts,
+        "node_budget": node_budget,
+    }
+    return Report(kind, config, tuple(records), _averages(records, averaged))
 
 
 def run_comparison(
@@ -250,26 +258,25 @@ def run_comparison(
     records = []
     for i in range(runs):
         run_spec = PerturbSpec(spec.missing_prob, spec.seed + i, spec.eligible_kinds)
-        records.append(
-            _run_once(robot, run_spec, metric, variant, epsilon, node_budget, i)
+        fields, traces = _perturb_and_explain(
+            robot, run_spec, ("peg", "concise"), metric, variant, epsilon, node_budget
         )
-    config = {
-        "kind": "comparison",
-        "robot_digest": robot.digest(),
-        "missing_prob": spec.missing_prob,
-        "seed": spec.seed,
-        "eligible_kinds": sorted(k.value for k in spec.eligible_kinds),
-        "metric": metric.value,
-        "variant": variant,
-        "epsilon": str(Fraction(epsilon)),
-        "runs": runs,
-        "node_budget": node_budget,
-    }
-    return Report(
-        kind="comparison",
-        config=config,
-        records=tuple(records),
-        averages=_averages(records, _AVERAGED_COMPARISON),
+        if traces:
+            peg, concise = traces
+            fields.update(
+                peg_size=peg.size,
+                peg_sum_rho_p2=peg.sum_rho_for(MetricKind.P2),
+                peg_expansions=peg.expansions,
+                peg_wall_time=peg.wall_time,
+                concise_size=concise.size,
+                concise_sum_rho_p2=concise.sum_rho_for(MetricKind.P2),
+                concise_expansions=concise.expansions,
+                concise_wall_time=concise.wall_time,
+            )
+        records.append(RunRecord(run_index=i, **fields))
+    return _report(
+        "comparison", records, _AVERAGED_COMPARISON, robot, {"missing_prob": spec.missing_prob},
+        spec.seed, spec.eligible_kinds, metric, variant, epsilon, node_budget, runs=runs,
     )
 
 
@@ -290,80 +297,41 @@ def sweep_missing_prob(
 
     The grid is computed with exact rationals from the decimal strings of
     the bounds, so ``0.06..0.14`` by ``0.01`` yields exactly nine probes.
-    Probe ``i`` uses seed ``seed + i``.  A grid of more than
-    :data:`MAX_SWEEP_PROBES` probes raises :class:`ValueError` before any
-    probe runs.
+    Probe ``i`` uses seed ``seed + i``.  A grid outside [0, 1], with a
+    non-positive step, or of more than :data:`MAX_SWEEP_PROBES` probes
+    raises :class:`ValueError` before any probe runs.
     """
     robot = domain if isinstance(domain, Model) else ground(domain, problem)
     lo = Fraction(str(p_lo))
     hi = Fraction(str(p_hi))
     step = Fraction(str(p_step))
-    if step <= 0 or hi < lo:
-        raise ValueError("expected p_lo <= p_hi and a positive step")
+    if step <= 0 or not 0 <= lo <= hi <= 1:
+        raise ValueError("expected 0 <= p_lo <= p_hi <= 1 and a positive step")
     probes = (hi - lo) // step + 1
     if probes > MAX_SWEEP_PROBES:
         raise ValueError(
             f"the sweep grid has {probes} probes; at most {MAX_SWEEP_PROBES} are allowed"
         )
     records = []
-    i = 0
-    p = lo
-    while p <= hi:
-        run_spec = PerturbSpec(float(p), seed + i, eligible_kinds)
-        human, missing, pool = perturb_model(robot, run_spec)
-        unsolvable = False
-        try:
-            rec_problem = ReconciliationProblem(robot, human, node_budget=node_budget)
-            unsolvable = not rec_problem.plan_result(rec_problem.human).solvable
-            trace = generate_progressive(
-                rec_problem, metric=metric, variant=variant, epsilon=epsilon,
-                node_budget=node_budget,
+    for i in range(probes):
+        p = float(lo + i * step)
+        fields, traces = _perturb_and_explain(
+            robot, PerturbSpec(p, seed + i, eligible_kinds), ("peg",),
+            metric, variant, epsilon, node_budget,
+        )
+        if traces:
+            (trace,) = traces
+            fields.update(
+                size=trace.size,
+                sum_rho=trace.sum_rho,
+                expansions=trace.expansions,
+                wall_time=trace.wall_time,
             )
-            records.append(
-                SweepRecord(
-                    missing_prob=float(p),
-                    seed=run_spec.seed,
-                    missing_features=missing,
-                    pool_size=pool,
-                    human_unsolvable=unsolvable,
-                    size=trace.size,
-                    sum_rho=trace.sum_rho,
-                    expansions=trace.expansions,
-                    wall_time=trace.wall_time,
-                )
-            )
-        except BudgetExceededError as exc:
-            records.append(
-                SweepRecord(
-                    missing_prob=float(p),
-                    seed=run_spec.seed,
-                    missing_features=missing,
-                    pool_size=pool,
-                    human_unsolvable=unsolvable,
-                    failed=True,
-                    failure=str(exc),
-                )
-            )
-        i += 1
-        p = lo + i * step
-    config = {
-        "kind": "sweep",
-        "robot_digest": robot.digest(),
-        "p_lo": float(lo),
-        "p_hi": float(hi),
-        "p_step": float(step),
-        "seed": seed,
-        "eligible_kinds": sorted(k.value for k in eligible_kinds),
-        "metric": metric.value,
-        "variant": variant,
-        "epsilon": str(Fraction(epsilon)),
-        "node_budget": node_budget,
-    }
-    return Report(
-        kind="sweep",
-        config=config,
-        records=tuple(records),
-        averages=_averages(records, _AVERAGED_SWEEP),
+        records.append(SweepRecord(missing_prob=p, **fields))
+    grid = {"p_lo": float(lo), "p_hi": float(hi), "p_step": float(step)}
+    return _report(
+        "sweep", records, _AVERAGED_SWEEP, robot, grid,
+        seed, eligible_kinds, metric, variant, epsilon, node_budget,
     )
 
 
@@ -371,56 +339,29 @@ def sweep_missing_prob(
 # Serialization
 
 
-def _trace_rows(trace: ExplanationTrace) -> list[list]:
-    rows = [["step", "cost_star", "rho"]]
-    for step in trace.steps:
-        rows.append([step.index, step.cost_star, step.rho])
-    return rows
-
-
 def emit_csv(obj: ExplanationTrace | Report) -> str:
     """RFC 4180 CSV for a trace or a report (reports end with an average row)."""
     out = io.StringIO()
     writer = csv.writer(out)
     if isinstance(obj, ExplanationTrace):
-        writer.writerows(_trace_rows(obj))
+        writer.writerow(["step", "cost_star", "rho"])
+        writer.writerows([step.index, step.cost_star, step.rho] for step in obj.steps)
         return out.getvalue()
-    if obj.kind == "comparison":
-        header = [
-            "run_index", "seed", "missing_features", "pool_size", "human_unsolvable",
-            "peg_size", "peg_sum_rho_p2", "peg_expansions", "peg_wall_time",
-            "concise_size", "concise_sum_rho_p2", "concise_expansions",
-            "concise_wall_time", "failed", "failure",
-        ]
-    else:
-        header = [
-            "missing_prob", "seed", "missing_features", "pool_size",
-            "human_unsolvable", "size", "sum_rho", "expansions", "wall_time",
-            "failed", "failure",
-        ]
+    record_class = RunRecord if obj.kind == "comparison" else SweepRecord
+    header = [f.name for f in dataclasses.fields(record_class)]
     writer.writerow(header)
     for rec in obj.records:
         writer.writerow([getattr(rec, col) for col in header])
     if obj.averages:
-        label_col = header[0]
-        row = []
-        for col in header:
-            if col == label_col:
-                row.append("average")
-            elif col in obj.averages:
-                row.append(obj.averages[col])
-            else:
-                row.append("")
-        writer.writerow(row)
+        # The label replaces the first column (run index or probability).
+        writer.writerow(["average"] + [obj.averages.get(col, "") for col in header[1:]])
     return out.getvalue()
 
 
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, MetricKind):
-        return value.value
-    if isinstance(value, FeatureKind):
+    if isinstance(value, (MetricKind, FeatureKind)):
         return value.value
     if isinstance(value, FeatureChange):
         return {"direction": value.direction, "feature": value.feature.render()}

@@ -399,7 +399,6 @@ class _Node:
     h: Fraction | float
     # (cost*, anchored plan, canonical plan or None when unsolvable)
     info: tuple[int, tuple[str, ...], tuple[str, ...] | None] | None
-    closed: bool = False
 
 
 def _check_metric(metric: object) -> None:
@@ -517,9 +516,10 @@ def _search(
     while heap:
         _, _, _, seq, idx_seq, mask = heappop(heap)
         node = nodes[mask]
-        if node.closed or node.idx_seq != idx_seq:
-            continue  # stale entry: the node was improved or already expanded
-        node.closed = True
+        if node.idx_seq != idx_seq:
+            # Stale: a better path replaced the node.  Candidate positions fix
+            # a path, and no path is pushed twice, so none is expanded twice.
+            continue
         if node.state is None:
             parent = nodes[mask ^ 1 << seq[-1]]
             node.state = apply_edit(parent.state, edits[seq[-1]])

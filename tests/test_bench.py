@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from pegplan import bench
 from pegplan import (
     DEFAULT_ELIGIBLE_KINDS,
     FeatureKind,
@@ -131,10 +132,22 @@ class TestSweep:
         ]
         assert [r.seed for r in report.records] == [3, 4, 5, 6, 7, 8, 9, 10, 11]
 
-    def test_invalid_grid_rejected(self, errand_pair):
+    def test_invalid_grid_rejected(self, errand_pair, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran before the grid was checked")
+
+        monkeypatch.setattr(bench, "perturb_model", no_probe)
+        monkeypatch.setattr(bench, "generate_progressive", no_probe)
         robot, _ = errand_pair
-        with pytest.raises(ValueError, match="p_lo"):
-            sweep_missing_prob(robot, p_lo=0.2, p_hi=0.1)
+        for p_lo, p_hi in [(0.2, 0.1), (0.5, 1.2), (-0.1, 0.3)]:
+            with pytest.raises(ValueError, match="p_lo"):
+                sweep_missing_prob(robot, p_lo=p_lo, p_hi=p_hi, p_step=0.1)
+
+    def test_budget_blowups_are_flagged_not_raised(self, rover_p01):
+        report = sweep_missing_prob(rover_p01, p_lo=0.1, p_hi=0.2, p_step=0.1, node_budget=1)
+        assert len(report.records) == 2
+        assert all(r.failed for r in report.records)
+        assert report.averages == {}
 
 
 class TestSerialization:
