@@ -25,6 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable
 
 from .explain import (
@@ -298,15 +299,19 @@ def sweep_missing_prob(
     The grid is computed with exact rationals from the decimal strings of
     the bounds, so ``0.06..0.14`` by ``0.01`` yields exactly nine probes.
     Probe ``i`` uses seed ``seed + i``.  A grid outside [0, 1], with a
-    non-positive step, or of more than :data:`MAX_SWEEP_PROBES` probes
-    raises :class:`ValueError` before any probe runs.
+    non-positive or non-finite step, or of more than
+    :data:`MAX_SWEEP_PROBES` probes raises :class:`ValueError` before any
+    probe runs.
     """
     robot = domain if isinstance(domain, Model) else ground(domain, problem)
+    grid_error = "expected 0 <= p_lo <= p_hi <= 1 and a positive step"
+    if not all(isfinite(v) for v in (p_lo, p_hi, p_step)):
+        raise ValueError(grid_error)  # NaN or infinity has no exact rational
     lo = Fraction(str(p_lo))
     hi = Fraction(str(p_hi))
     step = Fraction(str(p_step))
     if step <= 0 or not 0 <= lo <= hi <= 1:
-        raise ValueError("expected 0 <= p_lo <= p_hi <= 1 and a positive step")
+        raise ValueError(grid_error)
     probes = (hi - lo) // step + 1
     if probes > MAX_SWEEP_PROBES:
         raise ValueError(

@@ -4,16 +4,17 @@ An explanation is an ordered list of unit model changes that moves the
 human's model toward the robot's until the robot's plan is optimal there
 with its robot-side cost.  ``generate_concise`` minimizes the number of
 changes; ``generate_progressive`` minimizes the cumulative stepwise effort
-under one of the :mod:`~pegplan.metrics` proxies.  Both run one best-first
-search over the subset lattice of the problem's change pool: a node is an
-int whose bits mark the applied pool changes.  Concise is that search with
-unit steps and no heuristic; progressive is A* with the metric's effort as
-step cost and its remaining-effort estimate as heuristic.
+under one of the :mod:`~pegplan.metrics` proxies.  Both search the subset
+lattice of the problem's change pool: a node is an int whose bits mark the
+applied pool changes.  Concise scans it breadth-first, by the number of
+changes; progressive is A* with the metric's effort as step cost and its
+remaining-effort estimate as heuristic.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
@@ -41,7 +42,6 @@ __all__ = [
     "ExplanationTrace",
     "SearchInstrument",
     "DEFAULT_EPSILON",
-    "candidate_changes",
     "is_explanation",
     "is_complete",
     "is_monotonic",
@@ -239,26 +239,6 @@ def _is_cost_increasing(change: FeatureChange, model: Model) -> bool:
     return change.feature.cost > model.action(change.feature.owner).cost
 
 
-def candidate_changes(
-    problem: ReconciliationProblem, model: Model | None = None
-) -> list[FeatureChange]:
-    """Unit changes still available at a node, in search order.
-
-    At or below the target cost, cost-raising changes come first (they
-    close the usual gap faster), each part keeping the feature order.  The
-    pool is the difference between the robot model and the node's
-    model: additions of robot features the node lacks, removals of node
-    features the robot lacks (so nothing an explanation does can ever state
-    something untrue of the robot model).
-    """
-    if model is None:
-        model = problem.human
-    changes = sorted(delta(model, problem.robot), key=lambda c: c.feature.render())
-    if problem._cost_and_plan(model)[0] > problem.robot_plan.cost:
-        return changes
-    return sorted(changes, key=lambda c: not _is_cost_increasing(c, model))
-
-
 def is_explanation(
     problem: ReconciliationProblem, changes: Sequence[FeatureChange]
 ) -> bool:
@@ -339,7 +319,7 @@ class ExplanationTrace:
     ``expansions`` counts the nodes expanded.  ``generated`` counts the
     child subsets queued; concise queues a child before deriving its
     model, so it also counts a subset whose edit turns out invalid when
-    popped.  ``planner_calls`` counts the models the problem actually
+    dequeued.  ``planner_calls`` counts the models the problem actually
     planned, over all its searches so far; models refuted by a witness
     plan, and progressive children whose optimal cost follows from their
     parent's (see :func:`generate_progressive`), are not planned.
@@ -393,12 +373,12 @@ class SearchInstrument:
 
 @dataclass
 class _Node:
-    g: Fraction | int
+    g: Fraction
     idx_seq: tuple[int, ...]  # candidate positions along the path
-    state: CompiledModel | None  # the subset's model; concise derives it when popped
+    state: CompiledModel  # the subset's model
     h: Fraction | float
     # (cost*, anchored plan, canonical plan or None when unsolvable)
-    info: tuple[int, tuple[str, ...], tuple[str, ...] | None] | None
+    info: tuple[int, tuple[str, ...], tuple[str, ...] | None]
 
 
 def _check_metric(metric: object) -> None:
@@ -466,109 +446,6 @@ def _build_trace(
     )
 
 
-def _search(
-    problem: ReconciliationProblem,
-    name: str,
-    node_budget: int | None,
-    root: _Node,
-    score: Callable[[_Node, FeatureChange, _Node | None, int], tuple | None] | None = None,
-    on_node: Callable | None = None,
-) -> tuple[tuple[FeatureChange, ...], int, int]:
-    """Best-first search over subsets of the pool from ``root``.
-
-    Returns the changes of the first complete node expanded, with the
-    expansion and generation counts.  Nodes are popped by (f, h, size,
-    pool-index sequence, candidate-position sequence), and a subset keeps
-    its path of lowest (g, candidate positions).  A node holds its subset's
-    compiled model, derived from its parent's with one edit
-    (:func:`~pegplan.planner.apply_edit`).  That model depends on the
-    subset alone, and so does whether it has one: from a valid parent only
-    an add/delete overlap on the edited action can fail, which the edit
-    reports as None.
-
-    Without ``score`` every step costs 1 and h = 0: all paths to a subset
-    then cost the same, so a subset already generated is skipped,
-    candidates need no ordering, and a child is derived from its parent
-    only when it is popped.  A child whose edit is invalid is then dropped
-    uncounted as an expansion.
-
-    With ``score``, a node at or below the robot cost tries the
-    cost-raising changes first (they close the usual gap faster), each part
-    keeping the feature order; ``score(parent, i, known, child_remaining)``
-    prices the edge that adds pool change ``i`` as
-    (child state, step, h, info), or returns None for a dead end or an
-    invalid edit; ``known`` is the child subset's node if it has one.  A
-    node is complete when its cost* and the robot plan's cost there both
-    equal the robot cost: a feasible robot plan makes the model solvable,
-    so this plans nothing.
-
-    ``on_node(model, h, changes)`` sees each expanded node as a
-    :class:`Model`, built from its path only for that call.
-    """
-    changes = problem._changes
-    edits = problem._edits
-    robot_cost = problem.robot_plan.cost
-    nodes = {0: root}
-    heap: list = [(root.h, root.h, 0, (), (), 0)]
-    expansions = 0
-    generated = 0
-
-    while heap:
-        _, _, _, seq, idx_seq, mask = heappop(heap)
-        node = nodes[mask]
-        if node.idx_seq != idx_seq:
-            # Stale: a better path replaced the node.  Candidate positions fix
-            # a path, and no path is pushed twice, so none is expanded twice.
-            continue
-        if node.state is None:
-            parent = nodes[mask ^ 1 << seq[-1]]
-            node.state = apply_edit(parent.state, edits[seq[-1]])
-            if node.state is None:
-                continue  # no valid model holds this subset
-        state = node.state
-        expansions += 1
-        if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(f"{name} search exceeded the node budget of {node_budget}")
-        if on_node:
-            path = tuple(changes[i] for i in seq)
-            on_node(problem.apply_changes(path), node.h, path)
-        if score is None:
-            complete = problem.is_complete_model(state)
-        else:
-            complete = node.info[0] == robot_cost == problem.target_plan_cost(state)
-        if complete:
-            return tuple(changes[i] for i in seq), expansions, generated
-        order = problem._feature_order
-        if score is not None and node.info[0] <= robot_cost:
-            order = problem._raising_first
-        remaining = [i for i in order if not mask >> i & 1]
-        for idx, i in enumerate(remaining):
-            child_mask = mask | 1 << i
-            existing = nodes.get(child_mask)
-            if score is None:
-                if existing is not None:
-                    continue
-                child_state, step, child_h, info = None, 1, 0, None
-            else:
-                scored = score(node, i, existing, len(remaining) - 1)
-                if scored is None:
-                    continue
-                child_state, step, child_h, info = scored
-            child_g = node.g + step
-            child_idx = idx_seq + (idx,)
-            if existing is not None and (child_g, child_idx) >= (existing.g, existing.idx_seq):
-                continue
-            child_seq = seq + (i,)
-            nodes[child_mask] = _Node(child_g, child_idx, child_state, child_h, info)
-            generated += 1
-            heappush(
-                heap,
-                (child_g + child_h, child_h, len(child_seq), child_seq, child_idx, child_mask),
-            )
-
-    raise ReconciliationError("search exhausted without finding a complete explanation")
-
-
 def generate_progressive(
     problem: ReconciliationProblem,
     metric: MetricKind = MetricKind.P2,
@@ -584,24 +461,40 @@ def generate_progressive(
     estimate.  Ties are broken toward lower h, then fewer changes, then the
     lexicographically smallest change-string sequence; among equally cheap
     orderings of the same set, the one that follows the candidate ordering
-    (cost-raising changes first) earliest is kept.
+    earliest is kept.  A node at or below the robot cost tries the
+    cost-raising changes first (they close the usual gap faster), each part
+    keeping the feature order.  The first complete node expanded is
+    returned: one whose cost* and the robot plan's cost there both equal
+    the robot cost.  A feasible robot plan makes the model solvable, so
+    this test plans nothing.
 
-    Each subset is derived and scored once; another path to it is priced
-    from the two nodes' (cost*, plan) alone.  A child made by a cost-raising
-    change (:func:`_is_cost_increasing`) keeps a subset of its parent's
-    plans, none of them cheaper, so it is not planned when an unsolvable
-    parent makes it unsolvable, or when the parent's canonical plan keeps
-    its cost there.  Then the child's optimal plans are among the parent's
-    and include that plan, so it is the child's canonical plan too, at the
+    A node holds its subset's compiled model, derived from its parent's
+    with one edit (:func:`~pegplan.planner.apply_edit`).  That model
+    depends on the subset alone, and so does whether it has one: from a
+    valid parent only an add/delete overlap on the edited action can fail,
+    which the edit reports as None.  So each subset is derived and scored
+    once; another path to it is priced from the two nodes' (cost*, plan)
+    alone.  A child made by a cost-raising change
+    (:func:`_is_cost_increasing`) keeps a subset of its parent's plans,
+    none of them cheaper, so it is not planned when an unsolvable parent
+    makes it unsolvable, or when the parent's canonical plan keeps its cost
+    there.  Then the child's optimal plans are among the parent's and
+    include that plan, so it is the child's canonical plan too, at the
     parent's cost*.
+
+    ``instrument.on_node`` sees each expanded node as a :class:`Model`,
+    built from its path only for that call.
     """
     start = time.perf_counter()
     _check_metric(metric)
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
+    changes = problem._changes
+    edits = problem._edits
     target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
+    on_node = instrument.on_node if instrument else None
     on_edge = instrument.on_edge if instrument else None
 
     def context(prev: tuple, cur: tuple) -> StepContext:
@@ -625,39 +518,72 @@ def generate_progressive(
                 return cost, target_plan if anchored else optimum, optimum
         return problem._cost_and_plan(state)
 
-    def score(parent: _Node, i: int, known: _Node | None, child_remaining: int):
-        if known is None:
-            state = apply_edit(parent.state, problem._edits[i])
-            if state is None:
-                # e.g. adding a delete effect before the matching add
-                # effect was removed; the change stays available further down
-                return None
-            info = child_info(parent, i, state)
-            ctx = context(parent.info, info)
-            child_h = heuristic(metric, variant, ctx, child_remaining)
-        else:
-            # the subset's model, info and h depend on the subset alone
-            state, info, child_h = known.state, known.info, known.h
-            ctx = context(parent.info, info)
-        step_rho = rho(metric, ctx)
-        if on_edge:
-            on_edge(parent.h, step_rho, child_h)
-        if child_h == inf:
-            return None  # dead end: effort gap left but no changes to spend
-        return state, step_rho + epsilon, child_h, info
-
     root_info = problem._cost_and_plan(problem._human_state)
     root_h = heuristic(metric, variant, context(root_info, root_info), len(problem.pool))
     if root_h == inf:
         raise ReconciliationError("no complete explanation is reachable")
-    root = _Node(Fraction(0), (), problem._human_state, root_h, root_info)
-    seq, expansions, generated = _search(
-        problem, "progressive", node_budget, root, score,
-        instrument.on_node if instrument else None,
-    )
-    return _build_trace(
-        problem, "peg", metric, variant, epsilon, seq, expansions, generated, start
-    )
+    nodes = {0: _Node(Fraction(0), (), problem._human_state, root_h, root_info)}
+    # (f, h, size, pool-index sequence, candidate-position sequence, subset)
+    heap: list = [(root_h, root_h, 0, (), (), 0)]
+    expansions = 0
+    generated = 0
+
+    while heap:
+        _, _, _, seq, idx_seq, mask = heappop(heap)
+        node = nodes[mask]
+        if node.idx_seq != idx_seq:
+            # Stale: a better path replaced the node.  Candidate positions fix
+            # a path, and no path is pushed twice, so none is expanded twice.
+            continue
+        expansions += 1
+        if node_budget is not None and expansions > node_budget:
+            raise BudgetExceededError(
+                f"progressive search exceeded the node budget of {node_budget}"
+            )
+        if on_node:
+            path = tuple(changes[i] for i in seq)
+            on_node(problem.apply_changes(path), node.h, path)
+        if node.info[0] == target_cost == problem.target_plan_cost(node.state):
+            return _build_trace(
+                problem, "peg", metric, variant, epsilon,
+                tuple(changes[i] for i in seq), expansions, generated, start,
+            )
+        order = problem._raising_first if node.info[0] <= target_cost else problem._feature_order
+        remaining = [i for i in order if not mask >> i & 1]
+        for idx, i in enumerate(remaining):
+            child_mask = mask | 1 << i
+            known = nodes.get(child_mask)
+            if known is None:
+                state = apply_edit(node.state, edits[i])
+                if state is None:
+                    # e.g. adding a delete effect before the matching add
+                    # effect was removed; the change stays available further down
+                    continue
+                info = child_info(node, i, state)
+                ctx = context(node.info, info)
+                child_h = heuristic(metric, variant, ctx, len(remaining) - 1)
+            else:
+                # the subset's model, info and h depend on the subset alone
+                state, info, child_h = known.state, known.info, known.h
+                ctx = context(node.info, info)
+            step_rho = rho(metric, ctx)
+            if on_edge:
+                on_edge(node.h, step_rho, child_h)
+            if child_h == inf:
+                continue  # dead end: effort gap left but no changes to spend
+            child_g = node.g + step_rho + epsilon
+            child_idx = idx_seq + (idx,)
+            if known is not None and (child_g, child_idx) >= (known.g, known.idx_seq):
+                continue
+            child_seq = seq + (i,)
+            nodes[child_mask] = _Node(child_g, child_idx, state, child_h, info)
+            generated += 1
+            heappush(
+                heap,
+                (child_g + child_h, child_h, len(child_seq), child_seq, child_idx, child_mask),
+            )
+
+    raise ReconciliationError("search exhausted without finding a complete explanation")
 
 
 def generate_concise(
@@ -665,21 +591,58 @@ def generate_concise(
     metric: MetricKind = MetricKind.P2,
     node_budget: int | None = None,
 ) -> ExplanationTrace:
-    """Minimum-cardinality complete explanation.
+    """Minimum-cardinality complete explanation (breadth-first over change subsets).
 
     Among the complete explanations with the fewest changes, returns the
     one whose change sequence is lexicographically smallest by rendered
     change (every prefix of it must be a valid edit sequence).  ``metric``
-    only labels the trace's per-step effort records.  A child's compiled
-    model is derived from its parent's only when the child is popped, and
-    most popped nodes are rejected without planning: by the robot plan's
+    only labels the trace's per-step effort records.
+
+    The queue is dequeued in (size, pool-index sequence) order: parents
+    leave it in that order, and each parent queues its children in
+    ascending pool index, so a child of an earlier parent sorts before
+    every child of a later one.  All paths to a subset have the same
+    length, so a subset is queued once, by its smallest valid path, and a
+    subset already queued is skipped.
+
+    A child's compiled model is derived from its parent's with one edit
+    (:func:`~pegplan.planner.apply_edit`) only when the child is dequeued.
+    That model depends on the subset alone, and so does whether it has
+    one: from a valid parent only an add/delete overlap on the edited
+    action can fail, which the edit reports as None.  A child whose edit is
+    invalid is then dropped, counted as generated but not as expanded.
+    Most dequeued nodes are rejected without planning: by the robot plan's
     cost there, or by a witness plan (see
     :meth:`ReconciliationProblem.is_complete_model`).
     """
     start = time.perf_counter()
     _check_metric(metric)
-    root = _Node(0, (), problem._human_state, 0, None)
-    seq, expansions, generated = _search(problem, "concise", node_budget, root)
-    return _build_trace(
-        problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated, start
-    )
+    edits = problem._edits
+    # (pool-index sequence, subset, the parent's compiled model; the root's own)
+    queue = deque([((), 0, problem._human_state)])
+    seen = {0}
+    expansions = 0
+    generated = 0
+
+    while queue:
+        seq, mask, state = queue.popleft()
+        if seq:
+            state = apply_edit(state, edits[seq[-1]])
+            if state is None:
+                continue  # no valid model holds this subset
+        expansions += 1
+        if node_budget is not None and expansions > node_budget:
+            raise BudgetExceededError(f"concise search exceeded the node budget of {node_budget}")
+        if problem.is_complete_model(state):
+            return _build_trace(
+                problem, "concise", metric, "safe", Fraction(0),
+                tuple(problem._changes[i] for i in seq), expansions, generated, start,
+            )
+        for i in range(len(edits)):
+            child_mask = mask | 1 << i
+            if child_mask not in seen:  # the subset itself is seen, so i is new
+                seen.add(child_mask)
+                generated += 1
+                queue.append((seq + (i,), child_mask, state))
+
+    raise ReconciliationError("search exhausted without finding a complete explanation")

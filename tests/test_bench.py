@@ -17,6 +17,7 @@ from pegplan import (
     eligible_features,
     emit_csv,
     emit_json,
+    generate_concise,
     generate_progressive,
     perturb_model,
     run_comparison,
@@ -123,6 +124,22 @@ class TestRunComparison:
         assert "concise_expansions" in report.averages
 
 
+class TestLibraryIsQuiet:
+    def test_searches_and_studies_write_nothing(self, errand_pair, rover_p01, capfd):
+        """The library reports through return values only: perfbench/run.py
+        takes its last stdout line as the result, so a stray line on either
+        stream would hide it."""
+        robot, human = errand_pair
+        problem = ReconciliationProblem(robot, human)
+        generate_concise(problem)
+        generate_progressive(problem)
+        run_comparison(robot, spec=PerturbSpec(0.3, 0), runs=2)
+        budgeted = run_comparison(rover_p01, spec=PerturbSpec(0.2, 1), runs=2, node_budget=1)
+        assert all(r.failed for r in budgeted.records)
+        sweep_missing_prob(robot, p_lo=0.1, p_hi=0.2, p_step=0.1)
+        assert capfd.readouterr() == ("", "")
+
+
 class TestSweep:
     def test_grid_is_exact(self, errand_pair):
         robot, _ = errand_pair
@@ -139,9 +156,12 @@ class TestSweep:
         monkeypatch.setattr(bench, "perturb_model", no_probe)
         monkeypatch.setattr(bench, "generate_progressive", no_probe)
         robot, _ = errand_pair
-        for p_lo, p_hi in [(0.2, 0.1), (0.5, 1.2), (-0.1, 0.3)]:
+        nan, inf = float("nan"), float("inf")
+        grids = [(0.2, 0.1, 0.1), (0.5, 1.2, 0.1), (-0.1, 0.3, 0.1),
+                 (nan, 0.3, 0.1), (0.1, inf, 0.1), (0.1, 0.3, nan)]
+        for p_lo, p_hi, p_step in grids:
             with pytest.raises(ValueError, match="p_lo"):
-                sweep_missing_prob(robot, p_lo=p_lo, p_hi=p_hi, p_step=0.1)
+                sweep_missing_prob(robot, p_lo=p_lo, p_hi=p_hi, p_step=p_step)
 
     def test_budget_blowups_are_flagged_not_raised(self, rover_p01):
         report = sweep_missing_prob(rover_p01, p_lo=0.1, p_hi=0.2, p_step=0.1, node_budget=1)

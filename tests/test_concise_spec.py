@@ -175,7 +175,7 @@ ROVER_P02_S7_CONCISE = [
 
 def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     """Pool of 19, 11,484 expansions: witnesses answer almost every
-    completeness check, only popped nodes derive their compiled model, and
+    completeness check, only dequeued nodes derive their compiled model, and
     a Model is built only for each trace step."""
     counts = _count_derivations(monkeypatch)
     human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 7))
@@ -184,12 +184,13 @@ def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     assert trace.expansions == 11_484
     assert trace.planner_calls <= 20
     assert counts["apply_change"] <= len(trace.steps)
-    # one edit for each popped node but the root, invalid ones included
+    # one edit for each dequeued node but the root, invalid ones included
     assert counts["edits"] == trace.expansions - 1 + counts["invalid"]
 
 
 def _record_nodes(monkeypatch) -> list:
-    """Every node the searches create, the root and each scored child."""
+    """Every node progressive creates (concise makes no `_Node`s), the root
+    and each scored child."""
     nodes = []
     original = explain._Node
 

@@ -18,7 +18,6 @@ from pegplan import (
     ReconciliationProblem,
     SearchInstrument,
     UniverseMismatchError,
-    candidate_changes,
     generate_concise,
     generate_progressive,
     is_complete,
@@ -159,7 +158,9 @@ class TestExplanationPredicates:
 class TestCandidateOrdering:
     def test_cost_raising_changes_come_first_below_target(self, errand_pair):
         problem = errand_problem(errand_pair)
-        assert [c.render() for c in candidate_changes(problem)] == [
+        # the root is at or below the target cost, so the search takes this order
+        assert problem._cost_and_plan(problem.human)[0] <= problem.robot_plan.cost
+        assert [problem._changes[i].render() for i in problem._raising_first] == [
             "remove init-has-not-holiday",
             "add init-has-car-ready",
             "add init-has-is-sunny",
@@ -169,11 +170,15 @@ class TestCandidateOrdering:
         robot, human = errand_pair
         problem = ReconciliationProblem(robot, human)
         # past the target cost, the special-casing of raisers disappears
-        above = problem.apply_changes(
-            [parse_change("remove init-has-not-holiday"), parse_change("add init-has-car-ready")]
-        )
-        ordered = candidate_changes(problem, above)
-        assert [c.render() for c in ordered] == ["add init-has-is-sunny"]
+        applied = [
+            parse_change("remove init-has-not-holiday"),
+            parse_change("add init-has-car-ready"),
+        ]
+        above = problem.apply_changes(applied)
+        assert problem._cost_and_plan(above)[0] > problem.robot_plan.cost
+        mask = sum(1 << problem._changes.index(c) for c in applied)
+        ordered = [i for i in problem._feature_order if not mask >> i & 1]
+        assert [problem._changes[i].render() for i in ordered] == ["add init-has-is-sunny"]
 
 
 class TestProgressive:
