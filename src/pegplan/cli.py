@@ -149,7 +149,8 @@ def _load_pair(args) -> tuple[Model, Model]:
 def _read_plan_file(path: str) -> tuple[str, ...]:
     actions = []
     for raw in _read_text(path).splitlines():
-        line = raw.split(";", 1)[0].strip()
+        # the model readers lowercase every identifier too
+        line = raw.split(";", 1)[0].strip().lower()
         if not line:
             continue
         if not (line.startswith("(") and line.endswith(")")):

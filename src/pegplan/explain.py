@@ -22,7 +22,7 @@ from itertools import combinations
 from math import inf
 from typing import Callable, Iterable, Sequence
 
-from .metrics import MetricKind, StepContext, heuristic, rho
+from .metrics import MetricKind, heuristic, rho
 from .model import (
     FeatureChange,
     FeatureKind,
@@ -344,18 +344,8 @@ class ExplanationTrace:
 
     def sum_rho_for(self, kind: MetricKind) -> int:
         """Recompute the trace's total effort under another metric."""
-        total = 0
-        for prev, cur in zip(self.steps, self.steps[1:]):
-            ctx = StepContext(
-                prev_cost=prev.cost_star,
-                prev_plan=prev.plan,
-                cur_cost=cur.cost_star,
-                cur_plan=cur.plan,
-                target_plan=(),
-                target_cost=0,
-            )
-            total += rho(kind, ctx)
-        return total
+        pairs = [(step.cost_star, step.plan) for step in self.steps]
+        return sum(rho(kind, prev, cur) for prev, cur in zip(pairs, pairs[1:]))
 
 
 @dataclass
@@ -399,7 +389,7 @@ def _build_trace(
 ) -> ExplanationTrace:
     steps: list[StepRecord] = []
     model = problem.human
-    prev_cost, prev_plan = None, None
+    prev = None
     total = 0
     for index in range(len(seq) + 1):
         if index > 0:
@@ -408,15 +398,7 @@ def _build_trace(
         if index == 0:
             step_rho = 0
         else:
-            ctx = StepContext(
-                prev_cost=prev_cost,
-                prev_plan=prev_plan,
-                cur_cost=cost_star,
-                cur_plan=plan,
-                target_plan=problem.robot_plan.actions,
-                target_cost=problem.robot_plan.cost,
-            )
-            step_rho = rho(metric, ctx)
+            step_rho = rho(metric, prev, (cost_star, plan))
             total += step_rho
         steps.append(
             StepRecord(
@@ -429,7 +411,7 @@ def _build_trace(
                 rho=step_rho,
             )
         )
-        prev_cost, prev_plan = cost_star, plan
+        prev = cost_star, plan
     return ExplanationTrace(
         mode=mode,
         metric=metric,
@@ -494,18 +476,9 @@ def generate_progressive(
     edits = problem._edits
     target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
+    target = (target_cost, target_plan)
     on_node = instrument.on_node if instrument else None
     on_edge = instrument.on_edge if instrument else None
-
-    def context(prev: tuple, cur: tuple) -> StepContext:
-        return StepContext(
-            prev_cost=prev[0],
-            prev_plan=prev[1],
-            cur_cost=cur[0],
-            cur_plan=cur[1],
-            target_plan=target_plan,
-            target_cost=target_cost,
-        )
 
     def child_info(parent: _Node, i: int, state: CompiledModel) -> tuple:
         """The child's info, planning it only where the parent's cannot decide it."""
@@ -519,7 +492,7 @@ def generate_progressive(
         return problem._cost_and_plan(state)
 
     root_info = problem._cost_and_plan(problem._human_state)
-    root_h = heuristic(metric, variant, context(root_info, root_info), len(problem.pool))
+    root_h = heuristic(metric, variant, root_info, target, len(problem.pool))
     if root_h == inf:
         raise ReconciliationError("no complete explanation is reachable")
     nodes = {0: _Node(Fraction(0), (), problem._human_state, root_h, root_info)}
@@ -560,13 +533,11 @@ def generate_progressive(
                     # effect was removed; the change stays available further down
                     continue
                 info = child_info(node, i, state)
-                ctx = context(node.info, info)
-                child_h = heuristic(metric, variant, ctx, len(remaining) - 1)
+                child_h = heuristic(metric, variant, info, target, len(remaining) - 1)
             else:
                 # the subset's model, info and h depend on the subset alone
                 state, info, child_h = known.state, known.info, known.h
-                ctx = context(node.info, info)
-            step_rho = rho(metric, ctx)
+            step_rho = rho(metric, node.info, info)
             if on_edge:
                 on_edge(node.h, step_rho, child_h)
             if child_h == inf:

@@ -1,7 +1,8 @@
 """Cognitive-effort proxies for stepwise model reconciliation.
 
-Each step of an explanation moves the listener from one model to the next;
-its effort is scored from the two models' optimal-plan costs or plans:
+Each step of an explanation moves the listener from one model to the next.
+Its effort is scored from each model's (cost*, plan) pair: the optimal cost
+and the canonical optimal plan.
 
 * ``p1`` — absolute difference of adjacent optimal costs
 * ``p2`` — squared difference of adjacent optimal costs
@@ -9,21 +10,21 @@ its effort is scored from the two models' optimal-plan costs or plans:
 * ``p4`` — squared edit distance between adjacent canonical optimal plans
 
 Unsolvable models enter these formulas with cost 0 and the empty plan.  The
-matching search heuristics estimate the remaining effort from a node to the
-fully reconciled model; the ``paper`` variant halves the squared gap for
+matching search heuristics estimate the remaining effort from a node's pair
+to the (cost, plan) pair of the plan being explained in the fully
+reconciled model; the ``paper`` variant halves the squared gap for
 ``p2``/``p4``, the ``safe`` variant divides it by the number of remaining
 candidate changes, which keeps it admissible and consistent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import inf
 from typing import Sequence
 
-__all__ = ["MetricKind", "StepContext", "plan_edit_distance", "rho", "heuristic"]
+__all__ = ["MetricKind", "plan_edit_distance", "rho", "heuristic"]
 
 
 class MetricKind(Enum):
@@ -40,25 +41,6 @@ class MetricKind(Enum):
             raise ValueError(f"unknown metric {name!r}: expected p1, p2, p3, or p4") from None
 
 
-@dataclass(frozen=True)
-class StepContext:
-    """Everything one step's score can depend on.
-
-    ``prev_*``/``cur_*`` describe the models before and after the step
-    (optimal cost and canonical optimal plan, with the unsolvable-as-zero
-    convention already applied).  ``target_plan``/``target_cost`` are the
-    plan being explained and its cost in the fully reconciled model; they
-    stay fixed across a search.
-    """
-
-    prev_cost: int
-    prev_plan: tuple[str, ...]
-    cur_cost: int
-    cur_plan: tuple[str, ...]
-    target_plan: tuple[str, ...]
-    target_cost: int
-
-
 def plan_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """Levenshtein distance over action sequences (unit edit costs)."""
     if len(a) < len(b):
@@ -72,27 +54,36 @@ def plan_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[len(b)]
 
 
-def rho(kind: MetricKind, ctx: StepContext) -> int:
-    """Effort of one reconciliation step."""
+def rho(kind: MetricKind, prev: Sequence, cur: Sequence) -> int:
+    """Effort of one reconciliation step from the model ``prev`` to ``cur``.
+
+    Each of ``prev`` and ``cur`` starts with its model's optimal cost and
+    canonical plan (0 and the empty plan when unsolvable); any later items
+    are ignored.
+    """
     if kind is MetricKind.P1:
-        return abs(ctx.prev_cost - ctx.cur_cost)
+        return abs(prev[0] - cur[0])
     if kind is MetricKind.P2:
-        return (ctx.prev_cost - ctx.cur_cost) ** 2
+        return (prev[0] - cur[0]) ** 2
     if kind is MetricKind.P3:
-        return plan_edit_distance(ctx.prev_plan, ctx.cur_plan)
+        return plan_edit_distance(prev[1], cur[1])
     if kind is MetricKind.P4:
-        return plan_edit_distance(ctx.prev_plan, ctx.cur_plan) ** 2
+        return plan_edit_distance(prev[1], cur[1]) ** 2
     raise ValueError(f"unknown metric {kind!r}: expected a MetricKind")
 
 
 def heuristic(
     kind: MetricKind,
     variant: str,
-    ctx: StepContext,
+    cur: Sequence,
+    target: tuple[int, tuple[str, ...]],
     remaining: int,
 ) -> Fraction | float:
-    """Estimated remaining effort from the node described by ``ctx.cur_*``.
+    """Estimated remaining effort from the node whose model is ``cur``.
 
+    ``cur`` starts with the node's optimal cost and canonical plan, as in
+    :func:`rho`; ``target`` is the cost and actions of the plan being
+    explained in the fully reconciled model, fixed across a search.
     ``remaining`` is the number of candidate changes still available at the
     node; it bounds how many steps the rest of the explanation can take.
     Returns ``inf`` for a dead end (a gap left but no changes to spend).
@@ -101,9 +92,9 @@ def heuristic(
     if variant not in ("paper", "safe"):
         raise ValueError(f"unknown heuristic variant {variant!r}: expected 'paper' or 'safe'")
     if kind in (MetricKind.P1, MetricKind.P2):
-        gap = abs(ctx.cur_cost - ctx.target_cost)
+        gap = abs(cur[0] - target[0])
     elif kind in (MetricKind.P3, MetricKind.P4):
-        gap = plan_edit_distance(ctx.cur_plan, ctx.target_plan)
+        gap = plan_edit_distance(cur[1], target[1])
     else:
         raise ValueError(f"unknown metric {kind!r}: expected a MetricKind")
     if gap == 0:

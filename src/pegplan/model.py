@@ -252,14 +252,6 @@ class Feature:
         return self.sort_index
 
 
-def init_feature(fact: Fact) -> Feature:
-    return Feature(FeatureKind.INIT, fact=fact)
-
-
-def goal_feature(fact: Fact) -> Feature:
-    return Feature(FeatureKind.GOAL, fact=fact)
-
-
 def parse_feature(text: str) -> Feature:
     """Inverse of :meth:`Feature.render`."""
     text = text.strip()

@@ -247,7 +247,7 @@ def _parse_atom(sexp: _Sexp) -> LiftedAtom:
     return LiftedAtom(parts[0], tuple(parts[1:]))
 
 
-def _parse_conjunction(sexp: _Sexp, what: str) -> list[_Sexp]:
+def _parse_conjunction(sexp: _Sexp) -> list[_Sexp]:
     """Unwrap ``(and ...)`` or treat a single form as a one-element conjunction."""
     if not sexp.is_atom and len(sexp) > 0 and sexp[0].is_atom and sexp[0].atom == "and":
         return list(sexp)[1:]
@@ -277,7 +277,7 @@ def _parse_action(sexp: _Sexp) -> ActionSchema:
         if key.atom == ":parameters":
             params = tuple(_parse_typed_list(list(value), "parameter"))
         elif key.atom == ":precondition":
-            for part in _parse_conjunction(value, "precondition"):
+            for part in _parse_conjunction(value):
                 if not part.is_atom and len(part) > 0 and part[0].is_atom and part[0].atom == "not":
                     raise ParseError(
                         f"negative preconditions are not supported (action {name})",
@@ -286,7 +286,7 @@ def _parse_action(sexp: _Sexp) -> ActionSchema:
                     )
                 pre.append(_parse_atom(part))
         elif key.atom == ":effect":
-            for part in _parse_conjunction(value, "effect"):
+            for part in _parse_conjunction(value):
                 if part.is_atom:
                     raise ParseError("expected effect form", part.line, part.col)
                 head = part[0].atom if len(part) > 0 and part[0].is_atom else None
@@ -406,7 +406,7 @@ def parse_problem(text: str) -> ProblemAst:
         elif head == ":goal":
             if len(section) != 2:
                 raise ParseError("malformed :goal", section.line, section.col)
-            goal = tuple(_parse_atom(part) for part in _parse_conjunction(section[1], "goal"))
+            goal = tuple(_parse_atom(part) for part in _parse_conjunction(section[1]))
         elif head == ":metric":
             parts = list(section)[1:]
             if (

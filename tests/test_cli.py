@@ -134,14 +134,16 @@ class TestExplain:
 
     def test_plan_override(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.txt"
-        plan_file.write_text("; the dearer park trip is also optimal for the robot\n"
-                             "(visit-park-cheap)\n")
-        rc = dispatch([
-            "explain", "--fixture", FIXTURE, "--plan", str(plan_file),
-            "--format", "json",
-        ])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["complete"] is True
+        # the model readers lowercase identifiers, so the plan reader does too
+        for line in ("(visit-park-cheap)", "(VISIT-PARK-CHEAP)"):
+            plan_file.write_text("; the dearer park trip is also optimal for the robot\n"
+                                 f"{line}\n")
+            rc = dispatch([
+                "explain", "--fixture", FIXTURE, "--plan", str(plan_file),
+                "--format", "json",
+            ])
+            assert rc == 0, line
+            assert json.loads(capsys.readouterr().out)["complete"] is True
 
     def test_suboptimal_plan_override_rejected(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.txt"

@@ -27,7 +27,7 @@ from pegplan import (
     generate_progressive,
     perturb_model,
 )
-from pegplan.metrics import StepContext, heuristic
+from pegplan.metrics import heuristic
 from pegplan.model import InvalidEditError, apply_change
 from pegplan.planner import apply_edit, compile_model
 
@@ -232,9 +232,11 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                 for model, h, size in expanded:
                     unplanned += compile_model(model) not in problem._plan_cache
                     cost, plan, _ = fresh._cost_and_plan(model)
-                    ctx = StepContext(cost, plan, cost, plan, target.actions, target.cost)
                     remaining = len(problem.pool) - size
-                    assert h == heuristic(metric, variant, ctx, remaining), (i, metric, variant)
+                    expected = heuristic(
+                        metric, variant, (cost, plan), (target.cost, target.actions), remaining
+                    )
+                    assert h == expected, (i, metric, variant)
                 for node in created:
                     assert node.info == fresh._cost_and_plan(node.state), (i, metric, variant)
                     if node.info[2] is not None and node.state not in problem._plan_cache:

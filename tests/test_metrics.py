@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from pegplan import (
     MetricKind,
     ReconciliationProblem,
-    StepContext,
     generate_concise,
     generate_progressive,
     heuristic,
@@ -18,20 +17,19 @@ from pegplan import (
     rho,
 )
 
-from oracles import levenshtein_recursive, random_action_sequence
+from oracles import levenshtein_recursive, random_action_sequence, random_reconciliation
 
 ACTIONS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7).map(tuple)
 
 
-def ctx(prev_cost=0, cur_cost=0, prev_plan=(), cur_plan=(), target_plan=(), target_cost=0):
-    return StepContext(
-        prev_cost=prev_cost,
-        prev_plan=prev_plan,
-        cur_cost=cur_cost,
-        cur_plan=cur_plan,
-        target_plan=target_plan,
-        target_cost=target_cost,
-    )
+def step(prev_cost=0, cur_cost=0, prev_plan=(), cur_plan=()):
+    """rho's (prev, cur) pairs."""
+    return (prev_cost, prev_plan), (cur_cost, cur_plan)
+
+
+def node(cur_cost=0, cur_plan=(), target_plan=(), target_cost=0):
+    """heuristic's (cur, target) pairs."""
+    return (cur_cost, cur_plan), (target_cost, target_plan)
 
 
 class TestMetricKind:
@@ -45,24 +43,24 @@ class TestMetricKind:
 
 class TestRho:
     def test_p1_is_absolute_cost_difference(self):
-        assert rho(MetricKind.P1, ctx(prev_cost=5, cur_cost=10)) == 5
-        assert rho(MetricKind.P1, ctx(prev_cost=10, cur_cost=9)) == 1
+        assert rho(MetricKind.P1, *step(prev_cost=5, cur_cost=10)) == 5
+        assert rho(MetricKind.P1, *step(prev_cost=10, cur_cost=9)) == 1
 
     def test_p2_is_squared_cost_difference(self):
-        assert rho(MetricKind.P2, ctx(prev_cost=5, cur_cost=10)) == 25
+        assert rho(MetricKind.P2, *step(prev_cost=5, cur_cost=10)) == 25
 
     def test_p3_is_plan_edit_distance(self):
-        c = ctx(prev_plan=("go", "eat"), cur_plan=("go", "nap", "eat"))
-        assert rho(MetricKind.P3, c) == 1
+        c = step(prev_plan=("go", "eat"), cur_plan=("go", "nap", "eat"))
+        assert rho(MetricKind.P3, *c) == 1
 
     def test_p4_is_squared_edit_distance(self):
-        c = ctx(prev_plan=("go", "eat"), cur_plan=("fly",))
-        assert rho(MetricKind.P4, c) == 4
+        c = step(prev_plan=("go", "eat"), cur_plan=("fly",))
+        assert rho(MetricKind.P4, *c) == 4
 
     def test_no_change_costs_nothing(self):
-        c = ctx(prev_cost=7, cur_cost=7, prev_plan=("x",), cur_plan=("x",))
+        c = step(prev_cost=7, cur_cost=7, prev_plan=("x",), cur_plan=("x",))
         for kind in MetricKind:
-            assert rho(kind, c) == 0
+            assert rho(kind, *c) == 0
 
 
 class TestEditDistance:
@@ -108,41 +106,41 @@ class TestEditDistance:
 
 class TestHeuristic:
     def test_zero_gap_costs_nothing(self):
-        c = ctx(cur_cost=9, target_cost=9)
+        c = node(cur_cost=9, target_cost=9)
         for kind in MetricKind:
             for variant in ("paper", "safe"):
-                assert heuristic(kind, variant, c, 3) == 0
+                assert heuristic(kind, variant, *c, 3) == 0
 
     def test_linear_metrics_estimate_the_gap_itself(self):
-        c = ctx(cur_cost=4, target_cost=9)
-        assert heuristic(MetricKind.P1, "paper", c, 3) == Fraction(5)
-        assert heuristic(MetricKind.P1, "safe", c, 3) == Fraction(5)
+        c = node(cur_cost=4, target_cost=9)
+        assert heuristic(MetricKind.P1, "paper", *c, 3) == Fraction(5)
+        assert heuristic(MetricKind.P1, "safe", *c, 3) == Fraction(5)
 
     def test_p3_uses_edit_distance_to_target_plan(self):
-        c = ctx(cur_plan=("a", "b"), target_plan=("a", "c", "d"))
-        assert heuristic(MetricKind.P3, "safe", c, 2) == Fraction(2)
+        c = node(cur_plan=("a", "b"), target_plan=("a", "c", "d"))
+        assert heuristic(MetricKind.P3, "safe", *c, 2) == Fraction(2)
 
     def test_squared_metric_paper_variant_halves_square(self):
-        c = ctx(cur_cost=4, target_cost=10)
-        assert heuristic(MetricKind.P2, "paper", c, 5) == Fraction(36, 2)
+        c = node(cur_cost=4, target_cost=10)
+        assert heuristic(MetricKind.P2, "paper", *c, 5) == Fraction(36, 2)
 
     def test_squared_metric_safe_variant_divides_by_remaining(self):
-        c = ctx(cur_cost=4, target_cost=10)
-        assert heuristic(MetricKind.P2, "safe", c, 4) == Fraction(36, 4)
+        c = node(cur_cost=4, target_cost=10)
+        assert heuristic(MetricKind.P2, "safe", *c, 4) == Fraction(36, 4)
 
     def test_gap_with_no_remaining_changes_is_dead_end(self):
-        c = ctx(cur_cost=4, target_cost=10)
-        assert heuristic(MetricKind.P2, "safe", c, 0) == inf
+        c = node(cur_cost=4, target_cost=10)
+        assert heuristic(MetricKind.P2, "safe", *c, 0) == inf
 
     def test_results_are_exact_rationals(self):
-        c = ctx(cur_cost=0, target_cost=7)
-        value = heuristic(MetricKind.P2, "safe", c, 3)
+        c = node(cur_cost=0, target_cost=7)
+        value = heuristic(MetricKind.P2, "safe", *c, 3)
         assert isinstance(value, Fraction)
         assert value == Fraction(49, 3)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
-            heuristic(MetricKind.P1, "fast", ctx(), 1)
+            heuristic(MetricKind.P1, "fast", *node(), 1)
 
 
 class TestMetricMustBeAKind:
@@ -151,12 +149,12 @@ class TestMetricMustBeAKind:
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
     def test_rho_rejects_a_name(self, name):
         with pytest.raises(ValueError, match="unknown metric"):
-            rho(name, ctx(prev_cost=5, cur_cost=10, cur_plan=("a",)))
+            rho(name, *step(prev_cost=5, cur_cost=10, cur_plan=("a",)))
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
     def test_heuristic_rejects_a_name(self, name):
         with pytest.raises(ValueError, match="unknown metric"):
-            heuristic(name, "safe", ctx(cur_cost=4, target_cost=10, target_plan=("a",)), 3)
+            heuristic(name, "safe", *node(cur_cost=4, target_cost=10, target_plan=("a",)), 3)
 
     @pytest.mark.parametrize("generate", [generate_progressive, generate_concise])
     def test_searches_reject_a_name(self, errand_fixture_pair, generate):
@@ -171,3 +169,17 @@ class TestMetricMustBeAKind:
         concise = generate_concise(problem, metric=MetricKind.P1)
         assert concise.metric is MetricKind.P1
         assert concise.sum_rho == concise.sum_rho_for(MetricKind.P1)
+        rng = random.Random(23)
+        for i in range(30):
+            problem = random_reconciliation(rng)
+            for kind in MetricKind:
+                for trace in (
+                    generate_progressive(problem, metric=kind),
+                    generate_concise(problem, metric=kind),
+                ):
+                    assert trace.metric is kind
+                    assert trace.sum_rho == trace.sum_rho_for(kind), (i, kind, trace.mode)
+                    assert trace.steps[0].rho == 0
+                    for prev, cur in zip(trace.steps, trace.steps[1:]):
+                        pairs = (prev.cost_star, prev.plan), (cur.cost_star, cur.plan)
+                        assert cur.rho == rho(kind, *pairs), (i, kind, trace.mode, cur.index)
