@@ -5,8 +5,9 @@ human's model toward the robot's until the robot's plan is optimal there
 with its robot-side cost.  ``generate_concise`` minimizes the number of
 changes; ``generate_progressive`` minimizes the cumulative stepwise effort
 under one of the :mod:`~pegplan.metrics` proxies.  Both search the subset
-lattice of the problem's change pool: a node is an int whose bits mark the
-applied pool changes.  Concise scans it breadth-first, by the number of
+lattice of the problem's relevant changes, the pool without its inert
+changes (see :class:`ReconciliationProblem`): a node is an int whose bits
+mark the applied changes.  Concise scans it breadth-first, by the number of
 changes; progressive is A* with the metric's effort as step cost and its
 remaining-effort estimate as heuristic.
 """
@@ -33,7 +34,7 @@ from .model import (
     delta,
 )
 from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit
-from .planner import compile_edits, compile_model, optimal_plan, plan_cost
+from .planner import compile_edits, compile_model, inert_edits, optimal_plan, plan_cost
 
 __all__ = [
     "ReconciliationError",
@@ -68,6 +69,50 @@ class ReconciliationProblem:
     memoized per compiled model (see :mod:`~pegplan.planner`) so repeated
     searches over the same problem share work.  The per-model queries take
     a :class:`Model` or its :class:`~pegplan.planner.CompiledModel`.
+
+    ``pool`` is the whole human/robot difference, but the searches run over
+    its *relevant* changes only: those that
+    :func:`~pegplan.planner.inert_edits` does not find inert.  Call a set of
+    pool changes valid when applying it leaves no action with overlapping
+    add and delete effects, and a lattice model the human model with a
+    valid set applied.  Let R be the facts in any precondition or goal of
+    either model, and T the facts in both inits that no action of either
+    model deletes.
+
+    *Claim.*  Two lattice models whose change sets differ only by inert
+    changes have the same plans at the same costs.  In particular, for a
+    valid set S and an inert change c with S + c valid, S + c has the same
+    cost*, canonical plan, anchored plan and robot-plan cost as S, so every
+    metric's effort for the step from S to S + c is 0.
+
+    *Proof.*  Every feature of a lattice model is a feature of the human
+    or the robot model.  So each lattice model's preconditions and goal lie
+    in R; its init holds T, since no pool change touches a fact in both
+    inits; and none of its actions deletes a T-fact.  Let M and M' be two
+    lattice models whose change sets differ only by inert changes, and run
+    one action sequence in both, from states s and s'.  Invariant: s and s'
+    agree on R, and both hold T.  It holds at the inits, which differ only
+    outside R.  An action's preconditions in M and M' differ only on
+    T-facts, which both states hold, and lie in R otherwise, where the
+    states agree; so the action is applicable in both or in neither.  Its
+    delete effects differ only outside R, and its add effects only outside
+    R or on T-facts, which both states hold and no action deletes; so the
+    successors again agree on R and hold T.  The goals differ only on
+    T-facts, so a sequence reaches the goal in both or in neither.  No cost
+    change is inert, so each plan costs the same in both models.  The
+    canonical plan, cost* and the robot plan's cost depend on the plans
+    and their costs alone, and so does the anchored plan.  ∎
+
+    *Overlap partners.*  Only an add- and a delete-effect change on the
+    same action and fact can overlap.  If either is inert, so is the
+    other: an add effect outside R pairs with a delete effect outside R,
+    and vice versa; an add effect on a T-fact has no partner, since no
+    action of either model deletes a T-fact.  So whether a set is valid
+    depends on its relevant and its inert changes separately.  Dropping the
+    inert changes from a valid set leaves a valid set with the same cost*
+    and plans, reached by a valid path (its prefixes are valid sets).  So
+    no minimum-size complete explanation holds an inert change, nor, when
+    epsilon > 0, does one of minimum effort.
     """
 
     def __init__(
@@ -88,7 +133,8 @@ class ReconciliationProblem:
         self._plan_cache: dict[CompiledModel, PlanResult] = {}
         self._witnesses: list[tuple[str, ...]] = []
 
-        robot_result = self.plan_result(self.robot)
+        robot_state = compile_model(self.robot)
+        robot_result = self.plan_result(robot_state)
         if not robot_result.solvable:
             raise ReconciliationError("the robot model is unsolvable")
         optimum = robot_result.plan
@@ -106,17 +152,22 @@ class ReconciliationProblem:
                 )
             self.robot_plan = Plan(actions, cost)
         self.pool: frozenset[FeatureChange] = delta(self.human, self.robot)
-        # Search nodes are bitmasks over the pool in render order, so heap
-        # tie-breaks compare pool indices where they would compare strings.
-        self._changes: tuple[FeatureChange, ...] = tuple(sorted(self.pool))
+        # The lattice in compiled form: each node is the human state with
+        # the edits of its changes applied.  Search nodes are bitmasks over
+        # the relevant changes in render order, so heap tie-breaks compare
+        # change indices where they would compare strings.
+        self._human_state = compile_model(self.human)
+        changes = sorted(self.pool)
+        edits = compile_edits(self.human, changes)
+        inert = inert_edits(self._human_state, robot_state, edits)
+        self._changes: tuple[FeatureChange, ...] = tuple(
+            c for c, dead in zip(changes, inert) if not dead
+        )
+        self._edits = tuple(e for e, dead in zip(edits, inert) if not dead)
         # The same indices in feature order, the candidate order at a node.
         self._feature_order: tuple[int, ...] = tuple(
             sorted(range(len(self._changes)), key=lambda i: self._changes[i].feature.render())
         )
-        # The lattice in compiled form: each node is the human state with
-        # the edits of its pool changes applied.
-        self._human_state = compile_model(self.human)
-        self._edits = compile_edits(self.human, self._changes)
         # Each action has at most one cost change in the pool and keeps the
         # human's cost until it is applied, so whether a pool change raises
         # cost is the same at every node that lacks it.
@@ -438,17 +489,19 @@ def generate_progressive(
 ) -> ExplanationTrace:
     """Minimum cumulative-effort ordered explanation (A* over change subsets).
 
-    Nodes are identified by the set of applied changes; g is the effort so
-    far plus ``epsilon`` per change, h the metric's remaining-effort
-    estimate.  Ties are broken toward lower h, then fewer changes, then the
-    lexicographically smallest change-string sequence; among equally cheap
-    orderings of the same set, the one that follows the candidate ordering
-    earliest is kept.  A node at or below the robot cost tries the
-    cost-raising changes first (they close the usual gap faster), each part
-    keeping the feature order.  The first complete node expanded is
-    returned: one whose cost* and the robot plan's cost there both equal
-    the robot cost.  A feasible robot plan makes the model solvable, so
-    this test plans nothing.
+    Nodes are identified by the set of applied changes, drawn from the
+    problem's relevant changes (see :class:`ReconciliationProblem`); g is
+    the effort so far plus ``epsilon`` per change, h the metric's
+    remaining-effort estimate, whose ``remaining`` count is the number of
+    relevant changes a node lacks.  Ties are broken toward lower h, then
+    fewer changes, then the lexicographically smallest change-string
+    sequence; among equally cheap orderings of the same set, the one that
+    follows the candidate ordering earliest is kept.  A node at or below
+    the robot cost tries the cost-raising changes first (they close the
+    usual gap faster), each part keeping the feature order.  The first
+    complete node expanded is returned: one whose cost* and the robot
+    plan's cost there both equal the robot cost.  A feasible robot plan
+    makes the model solvable, so this test plans nothing.
 
     A node holds its subset's compiled model, derived from its parent's
     with one edit (:func:`~pegplan.planner.apply_edit`).  That model
@@ -463,6 +516,13 @@ def generate_progressive(
     there.  Then the child's optimal plans are among the parent's and
     include that plan, so it is the child's canonical plan too, at the
     parent's cost*.
+
+    An inert change costs 0 effort, so with ``epsilon`` > 0 no explanation
+    of minimum effort holds one.  With ``epsilon`` = 0 an explanation padded
+    with inert changes ties with the same explanation without them, and
+    the search returns one without, at the same minimum effort.  Among
+    several explanations with tied f, which is popped first depends on h,
+    and so on the relevant-change count.
 
     ``instrument.on_node`` sees each expanded node as a :class:`Model`,
     built from its path only for that call.
@@ -492,7 +552,7 @@ def generate_progressive(
         return problem._cost_and_plan(state)
 
     root_info = problem._cost_and_plan(problem._human_state)
-    root_h = heuristic(metric, variant, root_info, target, len(problem.pool))
+    root_h = heuristic(metric, variant, root_info, target, len(changes))
     if root_h == inf:
         raise ReconciliationError("no complete explanation is reachable")
     nodes = {0: _Node(Fraction(0), (), problem._human_state, root_h, root_info)}
@@ -566,7 +626,10 @@ def generate_concise(
 
     Among the complete explanations with the fewest changes, returns the
     one whose change sequence is lexicographically smallest by rendered
-    change (every prefix of it must be a valid edit sequence).  ``metric``
+    change (every prefix of it must be a valid edit sequence).  No such
+    explanation holds an inert change, so only subsets of the problem's
+    relevant changes are scanned (see :class:`ReconciliationProblem`); they
+    keep their pool order, so the answer is the whole pool's.  ``metric``
     only labels the trace's per-step effort records.
 
     The queue is dequeued in (size, pool-index sequence) order: parents

@@ -177,8 +177,15 @@ class Model:
         return {a.name: a for a in self.actions}
 
     def with_facts(self, extra: Iterable[Fact]) -> "Model":
-        """Return the same model with the fact universe extended."""
-        return Model(self.facts | frozenset(extra), self.actions, self.init, self.goal)
+        """Return the same model with the fact universe extended.
+
+        A model whose universe already holds every fact in ``extra`` is
+        returned as it is, so no copy of its fact set is made.
+        """
+        extra = frozenset(extra)
+        if extra <= self.facts:
+            return self
+        return Model(self.facts | extra, self.actions, self.init, self.goal)
 
     def replace_action(self, action: GroundAction) -> "Model":
         rest = tuple(a for a in self.actions if a.name != action.name)

@@ -15,7 +15,8 @@ States are bitmasks over the model's fact universe.  This module owns that
 encoding: :func:`compile_model` turns a model into a hashable
 :class:`CompiledModel`, :func:`compile_edits` turns unit changes into edits
 of it, and :func:`apply_edit` applies one.  A reconciliation search compiles
-the human model and its change pool once, and then derives every lattice
+the human model and its change pool once, drops the edits that
+:func:`inert_edits` finds change no plan, and then derives every lattice
 node with one edit; the planner and :func:`plan_cost` accept either form.
 """
 
@@ -158,6 +159,37 @@ def apply_edit(state: CompiledModel, edit: Edit) -> CompiledModel | None:
     if add & ~keep:
         return None
     return CompiledModel(ops[:i] + ((pre, add, keep, cost, name),) + ops[i + 1:], init, goal)
+
+
+def inert_edits(
+    human: CompiledModel, robot: CompiledModel, edits: Sequence[Edit]
+) -> tuple[bool, ...]:
+    """Which edits of a reconciliation pool change no plan and no plan's cost.
+
+    ``human`` and ``robot`` are the two models over one fact universe and
+    action order, and ``edits`` the changes between them.  Let R be the
+    facts in any precondition or goal of either model, and T the facts in
+    both inits that no action of either model deletes.  An edit is inert
+    when it toggles a precondition or goal on a T-fact, an add effect on a
+    T-fact or on a fact outside R, or a delete effect or an init fact
+    outside R.  See :class:`~pegplan.explain.ReconciliationProblem` for why
+    such an edit leaves every plan and its cost unchanged.
+    """
+    read = human.goal | robot.goal
+    deleted = 0
+    for pre, _, keep, _, _ in human.ops + robot.ops:
+        read |= pre
+        deleted |= ~keep
+    fixed = human.init & robot.init & ~deleted
+    inert = {
+        FeatureKind.PRECONDITION: fixed,
+        FeatureKind.GOAL: fixed,
+        FeatureKind.ADD_EFFECT: fixed | ~read,
+        FeatureKind.DELETE_EFFECT: ~read,
+        FeatureKind.INIT: ~read,
+        FeatureKind.COST: 0,
+    }
+    return tuple(bool(value & inert[kind]) for kind, _, value in edits)
 
 
 def _goal_relaxed_reachable(state: CompiledModel) -> bool:

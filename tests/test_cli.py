@@ -1,12 +1,16 @@
-"""End-to-end command-line tests (in-process via ``dispatch``)."""
+"""End-to-end command-line tests (in-process via ``dispatch``, and the
+``python -m`` entry points in a subprocess)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from pegplan.cli import dispatch
 
-from conftest import BENCHMARKS
+from conftest import BENCHMARKS, ROOT
 
 FIXTURE = str(BENCHMARKS / "amy_monica.model")
 ROVER_DOMAIN = str(BENCHMARKS / "rover" / "domain.pddl")
@@ -311,3 +315,15 @@ class TestBenchAndSweep:
             dispatch(["plan", "--fixture", FIXTURE, "--node-budget", "-1"])
         assert exc.value.code == 2
         assert "--node-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, subcommand", [("pegplan.cli", "validate"), ("pegplan", "validate"), ("pegplan", "")]
+)
+def test_python_m_prints_usage(module, subcommand):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", module] + ([subcommand] if subcommand else []) + ["--help"]
+    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ")

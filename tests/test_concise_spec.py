@@ -7,9 +7,10 @@ add/delete overlap.  Those edits are checked against ``apply_change`` on
 every subset and order.  Concise completeness checks refute models with
 earlier planner calls' cheaper plans, and progressive infers the optimal
 cost and plans of cost-raising children from their parents, so both are
-also checked against planning every model.  The work of each mode is
-bounded on a rover instance, including how few :class:`Model` objects the
-search builds.
+also checked against planning every model.  The inert pool changes the
+searches leave out are checked to change no plan on every subset.  The
+work of each mode is bounded on a rover instance, including how few
+:class:`Model` objects the search builds.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from pegplan import (
 )
 from pegplan.metrics import heuristic
 from pegplan.model import InvalidEditError, apply_change
-from pegplan.planner import apply_edit, compile_model
+from pegplan.planner import apply_edit, compile_edits, compile_model
 
 from oracles import (
     constrained_reconciliation,
@@ -37,7 +38,9 @@ from oracles import (
     exhaustive_min_effort,
     planned_is_complete,
     random_reconciliation,
+    simulated_cost,
     subset_model,
+    uniform_cost_plan,
 )
 
 
@@ -88,7 +91,8 @@ def test_compiled_edits_agree_with_apply_change_on_every_subset():
     for i in range(150):
         make = random_reconciliation if i % 2 else constrained_reconciliation
         problem = make(rng)
-        pairs = list(zip(problem._changes, problem._edits))
+        pool = sorted(problem.pool)
+        pairs = list(zip(pool, compile_edits(problem.human, pool)))
         for r in range(len(pairs) + 1):
             for subset in itertools.combinations(pairs, r):
                 model = subset_model(problem.human, [change for change, _ in subset])
@@ -162,6 +166,42 @@ def test_witness_refutation_agrees_with_planning_every_model(monkeypatch):
     assert refuted > 0
 
 
+def test_inert_changes_change_no_plan_and_enter_no_explanation():
+    """Every valid subset S and every inert pool change c with S + c valid:
+    both models, planned fresh, have the same cost*, canonical plan and
+    robot-plan cost.  No explanation of either search holds an inert change,
+    also progressive at epsilon 0."""
+    rng = random.Random(61)
+    inert_seen = 0
+    for i in range(300):
+        make = random_reconciliation if i % 2 else constrained_reconciliation
+        problem = make(rng)
+        pool = sorted(problem.pool)
+        inert = [c for c in pool if c not in problem._changes]
+        inert_seen += len(inert)
+        planned = {}
+        for r in range(len(pool) + 1):
+            for subset in itertools.combinations(pool, r):
+                model = subset_model(problem.human, subset)
+                if model is not None:
+                    planned[frozenset(subset)] = (
+                        uniform_cost_plan(model),
+                        simulated_cost(problem.robot_plan.actions, model),
+                    )
+        for subset, info in planned.items():
+            for change in inert:
+                extended = planned.get(subset | {change})
+                if change not in subset and extended is not None:
+                    assert extended == info, (i, change.render())
+        traces = [generate_concise(problem)]
+        for metric in MetricKind:
+            for epsilon in (Fraction(0), explain.DEFAULT_EPSILON):
+                traces.append(generate_progressive(problem, metric=metric, epsilon=epsilon))
+        for trace in traces:
+            assert not set(trace.changes) & set(inert), i
+    assert inert_seen > 0
+
+
 ROVER_P02_S7_CONCISE = [
     "add communicate_image_data-rover0-general-objective0-high_res-w1-w0"
     "-has-add-effect-communicated_image_data(objective0,high_res)",
@@ -174,14 +214,14 @@ ROVER_P02_S7_CONCISE = [
 
 
 def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
-    """Pool of 19, 11,484 expansions: witnesses answer almost every
-    completeness check, only dequeued nodes derive their compiled model, and
-    a Model is built only for each trace step."""
+    """Pool of 19 with 11 relevant changes, 816 expansions: witnesses answer
+    almost every completeness check, only dequeued nodes derive their
+    compiled model, and a Model is built only for each trace step."""
     counts = _count_derivations(monkeypatch)
     human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 7))
     trace = generate_concise(ReconciliationProblem(rover_p02, human))
     assert [c.render() for c in trace.changes] == ROVER_P02_S7_CONCISE
-    assert trace.expansions == 11_484
+    assert trace.expansions == 816
     assert trace.planner_calls <= 20
     assert counts["apply_change"] <= len(trace.steps)
     # one edit for each dequeued node but the root, invalid ones included
@@ -232,7 +272,7 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                 for model, h, size in expanded:
                     unplanned += compile_model(model) not in problem._plan_cache
                     cost, plan, _ = fresh._cost_and_plan(model)
-                    remaining = len(problem.pool) - size
+                    remaining = len(problem._changes) - size
                     expected = heuristic(
                         metric, variant, (cost, plan), (target.cost, target.actions), remaining
                     )
@@ -252,7 +292,7 @@ ROVER_P01_S1_PROGRESSIVE = [
 
 
 def test_progressive_work_on_rover_p01(rover_p01, monkeypatch):
-    """Pool of 12, 3,582 expansions over 4,096 subsets: each subset is
+    """Pool of 12 with 3 relevant changes, 8 expansions: each subset is
     derived once, cost-raising children of unsolvable or unchanged parents
     are not planned, and a Model is built only for each trace step."""
     counts = _count_derivations(monkeypatch)
@@ -261,9 +301,9 @@ def test_progressive_work_on_rover_p01(rover_p01, monkeypatch):
     trace = generate_progressive(problem, metric=MetricKind.P2)
     assert [c.render() for c in trace.changes] == ROVER_P01_S1_PROGRESSIVE
     assert trace.sum_rho == 121
-    assert trace.expansions == 3_582
-    assert trace.planner_calls <= 600
+    assert trace.expansions == 8
+    assert trace.planner_calls <= 9
     assert counts["apply_change"] <= len(trace.steps)
     # at most one edit for each subset but the root: none of them is invalid
     assert counts["invalid"] == 0
-    assert counts["edits"] < 2 ** len(problem.pool)
+    assert counts["edits"] < 2 ** len(problem._changes)

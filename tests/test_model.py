@@ -110,6 +110,15 @@ class TestActionsAndModels:
         assert m1.digest() == m2.digest()
         assert m1 == m2
 
+    def test_with_facts_copies_only_a_grown_universe(self):
+        m = tiny_model()
+        assert m.with_facts([P, G]) is m
+        assert m.with_facts(iter(())) is m
+        r = Fact("r")
+        grown = m.with_facts([r, P])
+        assert grown.facts == m.facts | {r}
+        assert (grown.actions, grown.init, grown.goal) == (m.actions, m.init, m.goal)
+
 
 class TestFeatureGrammar:
     def test_feature_strings(self):
