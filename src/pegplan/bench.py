@@ -37,7 +37,6 @@ from .explain import (
 )
 from .metrics import MetricKind
 from .model import FeatureChange, FeatureKind, Model, apply_change, gamma
-from .pddl import DomainAst, ProblemAst, ground
 from .planner import BudgetExceededError
 
 __all__ = [
@@ -239,8 +238,7 @@ def _report(
 
 
 def run_comparison(
-    domain: DomainAst | Model,
-    problem: ProblemAst | None = None,
+    robot: Model,
     spec: PerturbSpec = PerturbSpec(0.1, 0),
     metric: MetricKind = MetricKind.P2,
     variant: str = "safe",
@@ -252,10 +250,8 @@ def run_comparison(
 
     Run ``i`` perturbs with seed ``spec.seed + i``.  A run whose searches
     blow the node budget is kept, flagged as failed, and excluded from the
-    averages.  ``domain`` may be a domain AST (with ``problem``) or an
-    already ground robot model.
+    averages.
     """
-    robot = domain if isinstance(domain, Model) else ground(domain, problem)
     records = []
     for i in range(runs):
         run_spec = PerturbSpec(spec.missing_prob, spec.seed + i, spec.eligible_kinds)
@@ -282,8 +278,7 @@ def run_comparison(
 
 
 def sweep_missing_prob(
-    domain: DomainAst | Model,
-    problem: ProblemAst | None = None,
+    robot: Model,
     p_lo: float = 0.06,
     p_hi: float = 0.14,
     p_step: float = 0.01,
@@ -303,7 +298,6 @@ def sweep_missing_prob(
     :data:`MAX_SWEEP_PROBES` probes raises :class:`ValueError` before any
     probe runs.
     """
-    robot = domain if isinstance(domain, Model) else ground(domain, problem)
     grid_error = "expected 0 <= p_lo <= p_hi <= 1 and a positive step"
     if not all(isfinite(v) for v in (p_lo, p_hi, p_step)):
         raise ValueError(grid_error)  # NaN or infinity has no exact rational
@@ -384,6 +378,8 @@ def _jsonable(value):
 
 
 def trace_to_dict(trace: ExplanationTrace) -> dict:
+    """The trace as plain JSON-ready data, as :func:`emit_json` writes it,
+    for callers that post-process a trace rather than parse its text."""
     return _jsonable(trace)
 
 

@@ -65,12 +65,24 @@ def _node_budget(args) -> int | None:
     return value
 
 
+# Most digits --epsilon may give its numerator or its denominator.  Fraction
+# computes 10 ** exponent while parsing, so a short text such as 1e100000000
+# would hang it, and the JSON output prints both in decimal, which Python
+# refuses past 4,300 digits.
+_EPSILON_DIGITS = 1000
+
+
 def _epsilon(args) -> Fraction:
+    mantissa, _, exponent = args.epsilon.lower().partition("e")
     try:
+        # the mantissa's digits plus the exponent bound both parts' digits
+        if sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0)) > _EPSILON_DIGITS:
+            raise ValueError
         value = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError):
         raise _CliError(
-            f"--epsilon must be an exact rational such as 1/1000, got {args.epsilon!r}"
+            f"--epsilon must be an exact rational such as 1/1000 with at most "
+            f"{_EPSILON_DIGITS} digits, got {args.epsilon!r}"
         ) from None
     if value < 0:
         raise _CliError(f"--epsilon must be non-negative, got {args.epsilon!r}")

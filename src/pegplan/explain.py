@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
-from itertools import combinations
 from math import inf
 from typing import Callable, Iterable, Sequence
 
@@ -27,7 +26,6 @@ from .metrics import MetricKind, heuristic, rho
 from .model import (
     FeatureChange,
     FeatureKind,
-    InvalidEditError,
     Model,
     UniverseMismatchError,
     apply_change,
@@ -45,7 +43,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "is_explanation",
     "is_complete",
-    "is_monotonic",
     "generate_concise",
     "generate_progressive",
 ]
@@ -199,7 +196,9 @@ class ReconciliationProblem:
         canonical choice, so a finished reconciliation always lands exactly
         on the plan being explained; otherwise the model's canonical plan
         (see :func:`~pegplan.planner.optimal_plan`) is used, and the empty
-        plan for unsolvable models.
+        plan for unsolvable models.  The searches take it from
+        :meth:`_cost_and_plan`; ``tests/oracles.py`` calls this method to
+        score its exhaustive reference search.
         """
         return self._cost_and_plan(model)[1]
 
@@ -261,8 +260,14 @@ class ReconciliationProblem:
                 witnesses.insert(0, result.plan.actions)
         return result.solvable and result.plan.cost == target
 
-    def apply_changes(self, changes: Iterable[FeatureChange], base: Model | None = None) -> Model:
-        model = self.human if base is None else base
+    def apply_changes(self, changes: Iterable[FeatureChange]) -> Model:
+        """The human model with ``changes`` applied in order.
+
+        Each change goes through :func:`~pegplan.model.apply_change`, whose
+        presence and validity checks reject a change list that does not fit
+        the human model (see ``pegplan validate``).
+        """
+        model = self.human
         for change in changes:
             model = apply_change(model, change)
         return model
@@ -315,39 +320,6 @@ def is_explanation(
 def is_complete(problem: ReconciliationProblem, changes: Sequence[FeatureChange]) -> bool:
     """Is the robot plan optimal, at its robot-side cost, after the changes?"""
     return problem.is_complete_model(problem.apply_changes(changes))
-
-
-def is_monotonic(
-    problem: ReconciliationProblem,
-    changes: Sequence[FeatureChange],
-    max_remaining: int = 14,
-) -> bool:
-    """Is the explanation complete and immune to further true statements?
-
-    A monotonic explanation stays complete no matter which additional
-    changes from the remaining robot/human difference are applied.  Checked
-    by enumerating all subsets of the remaining changes, so it is only
-    feasible for small differences.
-    """
-    model = problem.apply_changes(changes)
-    if not problem.is_complete_model(model):
-        return False
-    remaining = sorted(delta(model, problem.robot), key=lambda c: c.render())
-    if len(remaining) > max_remaining:
-        raise ReconciliationError(
-            f"monotonicity check over {len(remaining)} remaining changes is too large"
-        )
-    for r in range(1, len(remaining) + 1):
-        for extra in combinations(remaining, r):
-            # removals first: additions may need an opposite slot vacated
-            ordered = sorted(extra, key=lambda c: (c.direction != "remove", c.render()))
-            try:
-                updated = problem.apply_changes(ordered, base=model)
-            except InvalidEditError:
-                continue  # no valid model holds this combination
-            if not problem.is_complete_model(updated):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

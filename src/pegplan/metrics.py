@@ -28,6 +28,8 @@ __all__ = ["MetricKind", "plan_edit_distance", "rho", "heuristic"]
 
 
 class MetricKind(Enum):
+    """The effort proxy scoring each step: p1..p4 as in the module docstring."""
+
     P1 = "p1"
     P2 = "p2"
     P3 = "p3"

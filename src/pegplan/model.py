@@ -32,7 +32,6 @@ __all__ = [
     "gamma",
     "reconstruct",
     "delta",
-    "model_distance",
     "apply_change",
 ]
 
@@ -173,9 +172,6 @@ class Model:
                 return act
         raise KeyError(name)
 
-    def action_map(self) -> dict[str, GroundAction]:
-        return {a.name: a for a in self.actions}
-
     def with_facts(self, extra: Iterable[Fact]) -> "Model":
         """Return the same model with the fact universe extended.
 
@@ -200,21 +196,15 @@ class Model:
 
 
 class FeatureKind(Enum):
+    """What a feature states: a fact of the init or goal, a fact of an
+    action's precondition, add or delete effects, or an action's cost."""
+
     INIT = "init"
     GOAL = "goal"
     PRECONDITION = "precondition"
     ADD_EFFECT = "add-effect"
     DELETE_EFFECT = "delete-effect"
     COST = "cost"
-
-
-_SET_KINDS = (
-    FeatureKind.INIT,
-    FeatureKind.GOAL,
-    FeatureKind.PRECONDITION,
-    FeatureKind.ADD_EFFECT,
-    FeatureKind.DELETE_EFFECT,
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -336,7 +326,10 @@ def reconstruct(features: Iterable[Feature], facts: Iterable[Fact] | None = None
 
     The fact universe is recovered from the features themselves unless a
     larger universe is supplied; action names are recovered from the cost
-    features, which every action carries exactly one of.
+    features, which every action carries exactly one of.  The library never
+    rebuilds a model this way; ``tests/test_model.py`` uses it as the
+    reference that :func:`gamma` loses nothing and that every model
+    :func:`apply_change` derives equals the one rebuilt from its features.
     """
     init: set[Fact] = set()
     goal: set[Fact] = set()
@@ -408,11 +401,6 @@ def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
             continue  # covered by the replace-style add of m2's cost
         changes.add(FeatureChange("remove", feat))
     return frozenset(changes)
-
-
-def model_distance(m1: Model, m2: Model) -> int:
-    """Number of unit changes between two models; a metric over feature sets."""
-    return len(delta(m1, m2))
 
 
 _ACTION_SLOTS = {

@@ -1,19 +1,19 @@
-"""Reading and writing planning models.
+"""Reading planning models.
 
 Two input dialects are supported: a small typed-STRIPS slice of PDDL
 (``:strips``, flat ``:typing``, ``:action-costs`` with constant increases of
 ``total-cost``), and a line-oriented fixture format for hand-written ground
 models with optional conditional costs.  Both produce :class:`~pegplan.model.Model`
-values; a canonical feature dump is provided for golden tests.
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .model import Fact, GroundAction, Model, ModelError, gamma
+from .model import Fact, GroundAction, Model, ModelError
 
 __all__ = [
     "ParseError",
@@ -25,15 +25,12 @@ __all__ = [
     "LiftedAtom",
     "parse_domain",
     "parse_problem",
-    "serialize_domain",
-    "serialize_problem",
     "ground",
     "FixtureAction",
     "FixtureModel",
     "parse_fixture",
     "load_fixture",
     "split_conditional_costs",
-    "dump_model",
 ]
 
 _SUPPORTED_REQUIREMENTS = {":strips", ":typing", ":action-costs"}
@@ -193,9 +190,6 @@ def _parse_typed_list(items: list[_Sexp], what: str) -> list[tuple[str, str]]:
 class LiftedAtom:
     name: str
     args: tuple[str, ...]
-
-    def render(self) -> str:
-        return "(" + " ".join((self.name,) + self.args) + ")"
 
 
 @dataclass(frozen=True)
@@ -424,50 +418,6 @@ def parse_problem(text: str) -> ProblemAst:
     if not domain:
         raise ParseError("problem is missing a :domain declaration", root.line, root.col)
     return ProblemAst(name, domain, objects, tuple(init), goal, minimize)
-
-
-def _render_typed_list(pairs: tuple[tuple[str, str], ...]) -> str:
-    return " ".join(f"{name} - {tname}" for name, tname in pairs)
-
-
-def serialize_domain(ast: DomainAst) -> str:
-    lines = [f"(define (domain {ast.name})"]
-    if ast.requirements:
-        lines.append("  (:requirements " + " ".join(ast.requirements) + ")")
-    if ast.types:
-        lines.append("  (:types " + " ".join(ast.types) + ")")
-    if ast.predicates:
-        decls = " ".join(
-            "(" + p.name + (" " + _render_typed_list(p.params) if p.params else "") + ")"
-            for p in ast.predicates
-        )
-        lines.append("  (:predicates " + decls + ")")
-    if ast.has_total_cost:
-        lines.append("  (:functions (total-cost))")
-    for act in ast.actions:
-        lines.append(f"  (:action {act.name}")
-        lines.append("    :parameters (" + _render_typed_list(act.params) + ")")
-        pre = " ".join(a.render() for a in act.preconditions)
-        lines.append(f"    :precondition (and {pre})")
-        effects = [a.render() for a in act.add_effects]
-        effects += [f"(not {a.render()})" for a in act.delete_effects]
-        if act.cost is not None:
-            effects.append(f"(increase (total-cost) {act.cost})")
-        lines.append("    :effect (and " + " ".join(effects) + "))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_problem(ast: ProblemAst) -> str:
-    lines = [f"(define (problem {ast.name})", f"  (:domain {ast.domain})"]
-    if ast.objects:
-        lines.append("  (:objects " + _render_typed_list(ast.objects) + ")")
-    lines.append("  (:init " + " ".join(a.render() for a in ast.init) + ")")
-    lines.append("  (:goal (and " + " ".join(a.render() for a in ast.goal) + "))")
-    if ast.minimize_total_cost:
-        lines.append("  (:metric minimize (total-cost))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +720,3 @@ def load_fixture(path: str | Path) -> dict[str, Model]:
     text = Path(path).read_text()
     return {name: split_conditional_costs(fm) for name, fm in parse_fixture(text).items()}
 
-
-def dump_model(model: Model) -> str:
-    """Canonical dump: one feature per line, sorted."""
-    return "\n".join(sorted(f.render() for f in gamma(model))) + "\n"

@@ -32,13 +32,11 @@ from .model import Fact, FeatureChange, FeatureKind, Model
 __all__ = [
     "Plan",
     "PlanResult",
-    "ValidationResult",
     "PlanningError",
     "UnknownActionError",
     "BudgetExceededError",
     "optimal_plan",
     "plan_cost",
-    "validate_plan",
 ]
 
 
@@ -71,13 +69,6 @@ class PlanResult:
     expansions: int
     generated: int
     wall_time: float
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    message: str
-    failed_index: int | None = None
 
 
 class CompiledModel(NamedTuple):
@@ -265,12 +256,6 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
     return PlanResult(False, None, expansions, generated, time.perf_counter() - start)
 
 
-def _plan_actions(plan: Plan | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(plan, Plan):
-        return plan.actions
-    return tuple(plan)
-
-
 def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int | None:
     """Total cost of executing the plan in the model, or None if infeasible.
 
@@ -281,7 +266,7 @@ def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int |
     ops, state, goal = compile_model(model)
     by_name = {op[4]: op for op in ops}
     total = 0
-    for name in _plan_actions(plan):
+    for name in plan.actions if isinstance(plan, Plan) else plan:
         op = by_name.get(name)
         if op is None:
             raise UnknownActionError(f"model defines no action named {name!r}")
@@ -294,27 +279,3 @@ def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int |
         return None
     return total
 
-
-def validate_plan(plan: Plan | Sequence[str], model: Model) -> ValidationResult:
-    """Like :func:`plan_cost` but with a step-level diagnostic."""
-    actions = model.action_map()
-    state = set(model.init)
-    total = 0
-    for i, name in enumerate(_plan_actions(plan)):
-        act = actions.get(name)
-        if act is None:
-            return ValidationResult(False, f"step {i}: unknown action {name!r}", i)
-        missing = act.preconditions - state
-        if missing:
-            facts = ", ".join(sorted(f.render() for f in missing))
-            return ValidationResult(
-                False, f"step {i}: action {name} requires unmet facts: {facts}", i
-            )
-        state -= act.delete_effects
-        state |= act.add_effects
-        total += act.cost
-    unmet = model.goal - state
-    if unmet:
-        facts = ", ".join(sorted(f.render() for f in unmet))
-        return ValidationResult(False, f"goal facts not achieved: {facts}", None)
-    return ValidationResult(True, f"plan is valid; cost = {total}", None)

@@ -166,7 +166,7 @@ class TestExplain:
         assert dispatch(["explain", "--fixture", FIXTURE, "--epsilon", "0.1.2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", ["1/0", "abc", "-1/2"])
+    @pytest.mark.parametrize("value", ["1/0", "abc", "-1/2", "1e100000000", "1e5000"])
     def test_unusable_epsilon_is_a_one_line_error(self, value, capsys):
         rc = dispatch(["explain", "--fixture", FIXTURE, f"--epsilon={value}"])
         assert rc == 1

@@ -1,5 +1,8 @@
-"""The demos and the README's quick tour run as documented."""
+"""The demos and the README's quick tour run as documented, and every
+public function and class documents itself."""
 
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -7,6 +10,7 @@ import sys
 
 import pytest
 
+import pegplan
 from conftest import ROOT
 
 
@@ -31,3 +35,16 @@ def test_readme_quick_tour(monkeypatch, capsys):
     exec(tour.group(1), namespace)
     assert namespace["trace"].sum_rho == 6
     assert capsys.readouterr().out.endswith("total effort: 6\n")
+
+
+def test_every_public_name_has_a_docstring():
+    undocumented = []
+    for name in pegplan.__all__:
+        obj = getattr(pegplan, name)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        doc = (obj.__doc__ or "").strip()
+        # a dataclass without a docstring gets its signature as one
+        if not doc or dataclasses.is_dataclass(obj) and doc.startswith(f"{name}("):
+            undocumented.append(name)
+    assert not undocumented

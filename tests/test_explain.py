@@ -22,7 +22,6 @@ from pegplan import (
     generate_progressive,
     is_complete,
     is_explanation,
-    is_monotonic,
     parse_change,
     perturb_model,
 )
@@ -140,19 +139,6 @@ class TestExplanationPredicates:
         problem = ReconciliationProblem(robot, robot)
         assert is_complete(problem, [])
         assert not is_explanation(problem, [])
-
-    def test_monotonic_when_nothing_remains(self, errand_pair):
-        problem = errand_problem(errand_pair)
-        assert is_monotonic(problem, sorted(problem.pool, key=lambda c: c.render()))
-
-    def test_incomplete_changes_are_not_monotonic(self, errand_pair):
-        assert not is_monotonic(errand_problem(errand_pair), [])
-
-    def test_monotonicity_refuses_oversized_enumeration(self, errand_pair):
-        problem = errand_problem(errand_pair)
-        full = sorted(problem.pool, key=lambda c: c.render())
-        with pytest.raises(ReconciliationError, match="too large"):
-            is_monotonic(problem, full, max_remaining=-1)
 
 
 class TestCandidateOrdering:

@@ -1,4 +1,4 @@
-"""Parser, serializer, grounder, and fixture-format tests."""
+"""Parser, grounder, and fixture-format tests."""
 
 import pytest
 
@@ -6,12 +6,9 @@ from pegplan import Fact, ground, load_fixture, split_conditional_costs
 from pegplan.pddl import (
     GroundingError,
     ParseError,
-    dump_model,
     parse_domain,
     parse_fixture,
     parse_problem,
-    serialize_domain,
-    serialize_problem,
 )
 
 from conftest import BENCHMARKS
@@ -111,16 +108,6 @@ class TestProblemParsing:
     def test_missing_domain_declaration_rejected(self):
         with pytest.raises(ParseError, match="missing a :domain"):
             parse_problem("(define (problem p) (:init) (:goal (p)))")
-
-
-class TestSerializationRoundTrip:
-    def test_domain_round_trip(self, rover_domain):
-        assert parse_domain(serialize_domain(rover_domain)) == rover_domain
-
-    @pytest.mark.parametrize("name", ["p01.pddl", "p02.pddl"])
-    def test_problem_round_trip(self, name):
-        ast = parse_problem((BENCHMARKS / "rover" / name).read_text())
-        assert parse_problem(serialize_problem(ast)) == ast
 
 
 class TestGrounding:
@@ -266,13 +253,6 @@ class TestFixtureFormat:
 
 
 class TestDump:
-    def test_dump_lists_sorted_features(self, errand_pair):
-        robot, _ = errand_pair
-        lines = dump_model(robot).strip().split("\n")
-        assert lines == sorted(lines)
-        assert "init-has-car-ready" in lines
-        assert "outlet-shopping-cheap-has-cost-1" in lines
-
     def test_load_fixture_returns_ground_models(self):
         models = load_fixture(BENCHMARKS / "amy_monica.model")
         assert set(models) == {"robot", "human"}

@@ -6,6 +6,7 @@ explained)::
     PYTHONPATH=src python tests/test_planner.py --record
 """
 
+import dataclasses
 import json
 import random
 import sys
@@ -23,7 +24,6 @@ from pegplan import (
     optimal_plan,
     perturb_model,
     plan_cost,
-    validate_plan,
 )
 from pegplan.pddl import ground, parse_domain, parse_problem
 from pegplan.planner import compile_model
@@ -159,7 +159,7 @@ class TestOptimalPlan:
 
     def test_rover_plan_is_valid(self, rover_p01):
         result = optimal_plan(rover_p01)
-        assert validate_plan(result.plan, rover_p01).ok
+        assert plan_cost(result.plan, rover_p01) == result.plan.cost
 
 
 class TestCanonicalPlan:
@@ -275,35 +275,18 @@ class TestPlanCostOracle:
             names = [act.name for act in model.actions] + (["teleport"] if i % 5 == 0 else [])
             plan = random_action_sequence(rng, names)
             got = self.assert_agrees(plan, model)
-            check = validate_plan(plan, model)
+            # the same model without a goal fails only on preconditions
+            goal_free = dataclasses.replace(model, goal=frozenset())
             if got == "unknown":
                 seen["unknown"] += 1
             elif got is not None:
                 seen["feasible"] += 1
                 seen["zero-cost"] += any(model.action(a).cost == 0 for a in plan)
-            elif check.failed_index is None:
+            elif simulated_cost(plan, goal_free) is not None:
                 seen["unmet goal"] += 1
-            elif check.failed_index > 0:
-                seen["unmet precondition"] += 1
+            elif simulated_cost(plan[:1], goal_free) is not None:
+                seen["unmet precondition"] += 1  # at a later step than the first
         assert min(seen.values()) > 0, seen
-
-
-class TestValidatePlan:
-    def test_valid_plan(self):
-        result = validate_plan(("one", "two"), chain_model())
-        assert result.ok
-        assert result.failed_index is None
-
-    def test_precondition_violation_reports_step(self):
-        result = validate_plan(("two", "one"), chain_model())
-        assert not result.ok
-        assert result.failed_index == 0
-        assert "two" in result.message
-
-    def test_unreached_goal_reported(self):
-        result = validate_plan(("one",), chain_model())
-        assert not result.ok
-        assert "goal" in result.message.lower()
 
 
 if __name__ == "__main__":
