@@ -200,7 +200,7 @@ def _perturb_and_explain(
     )
     try:
         problem = ReconciliationProblem(robot, human, node_budget=node_budget)
-        fields["human_unsolvable"] = not problem.plan_result(problem.human).solvable
+        fields["human_unsolvable"] = not problem.plan_result(problem._human_state).solvable
         traces = tuple(
             generate_progressive(
                 problem, metric=metric, variant=variant, epsilon=epsilon,

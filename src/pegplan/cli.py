@@ -89,6 +89,25 @@ def _epsilon(args) -> Fraction:
     return value
 
 
+# Most digits --seed may have.  The reports print every run's seed, which
+# Python refuses past 4,300 digits, so a longer seed would fail only after
+# the whole study had run.
+_SEED_DIGITS = 1000
+
+
+def _seed(text: str) -> int:
+    """argparse type for seeds of at most :data:`_SEED_DIGITS` digits."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > _SEED_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {_SEED_DIGITS} digits, got {digits}"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _int_at_least(lowest: int) -> Callable[[str], int]:
     """argparse type for integers no smaller than ``lowest``."""
 
@@ -429,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--fixture", help="native fixture file (robot model)")
     p_bench.add_argument("--missing-prob", type=float, default=0.1)
     p_bench.add_argument("--runs", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--eligible-kinds", default="",
                          help="comma-separated feature kinds to perturb")
     _add_metric_opts(p_bench)
@@ -443,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-lo", type=float, default=0.06)
     p_sweep.add_argument("--p-hi", type=float, default=0.14)
     p_sweep.add_argument("--p-step", type=float, default=0.01)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.add_argument("--eligible-kinds", default="",
                          help="comma-separated feature kinds to perturb")
     _add_metric_opts(p_sweep)

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
-from math import inf
+from math import inf, lcm
 from typing import Callable, Iterable, Sequence
 
 from .metrics import MetricKind, heuristic, rho
@@ -386,12 +386,21 @@ class SearchInstrument:
 
 @dataclass
 class _Node:
-    g: Fraction
+    g: int  # scaled, as the A* keys are (see generate_progressive)
     idx_seq: tuple[int, ...]  # candidate positions along the path
     state: CompiledModel  # the subset's model
-    h: Fraction | float
+    h: Fraction  # as the heuristic returns it, for the instrument
+    h_key: int  # h, scaled
     # (cost*, anchored plan, canonical plan or None when unsolvable)
     info: tuple[int, tuple[str, ...], tuple[str, ...] | None]
+
+
+def _scaled(value: Fraction | float, scale: int) -> int | float:
+    """``value * scale`` as an int, which ``scale`` makes exact; inf stays inf."""
+    if isinstance(value, float):
+        return value  # inf, the heuristic's only float
+    assert scale % value.denominator == 0, "the key scale must clear every denominator"
+    return value.numerator * (scale // value.denominator)
 
 
 def _check_metric(metric: object) -> None:
@@ -412,12 +421,14 @@ def _build_trace(
 ) -> ExplanationTrace:
     steps: list[StepRecord] = []
     model = problem.human
+    state = problem._human_state
     prev = None
     total = 0
     for index in range(len(seq) + 1):
         if index > 0:
             model = apply_change(model, seq[index - 1])
-        cost_star, plan, optimum = problem._cost_and_plan(model)
+            state = compile_model(model)
+        cost_star, plan, optimum = problem._cost_and_plan(state)
         if index == 0:
             step_rho = 0
         else:
@@ -443,7 +454,7 @@ def _build_trace(
         changes=seq,
         steps=tuple(steps),
         sum_rho=total,
-        complete=problem.is_complete_model(model),
+        complete=problem.is_complete_model(state),
         expansions=expansions,
         generated=generated,
         planner_calls=problem.planner_calls(),
@@ -496,8 +507,17 @@ def generate_progressive(
     several explanations with tied f, which is popped first depends on h,
     and so on the relevant-change count.
 
+    The A* keys are integers: g, h and f scaled by L = lcm(2, the
+    denominator of ``epsilon``, 1, ..., n), with n the number of relevant
+    changes.  Each h is an integer, a half, or a fraction over the node's
+    remaining count, at most n, and each g a sum of integer efforts and
+    epsilons, so L clears every denominator (asserted, never rounded); an
+    infinite h stays inf.  Scaling by one positive L keeps every comparison
+    and every tie of the exact rationals, so nodes pop in the same order.
+
     ``instrument.on_node`` sees each expanded node as a :class:`Model`,
-    built from its path only for that call.
+    built from its path only for that call.  Both probes receive h as the
+    :class:`~fractions.Fraction` :func:`~pegplan.metrics.heuristic` returned.
     """
     start = time.perf_counter()
     _check_metric(metric)
@@ -523,13 +543,19 @@ def generate_progressive(
                 return cost, target_plan if anchored else optimum, optimum
         return problem._cost_and_plan(state)
 
+    # Every h has denominator 1, 2 or its remaining count, at most n.
+    scale = lcm(2, epsilon.denominator, *range(1, len(changes) + 1))
+    epsilon_key = _scaled(epsilon, scale)
+
     root_info = problem._cost_and_plan(problem._human_state)
     root_h = heuristic(metric, variant, root_info, target, len(changes))
-    if root_h == inf:
+    root_key = _scaled(root_h, scale)
+    if root_key == inf:
         raise ReconciliationError("no complete explanation is reachable")
-    nodes = {0: _Node(Fraction(0), (), problem._human_state, root_h, root_info)}
-    # (f, h, size, pool-index sequence, candidate-position sequence, subset)
-    heap: list = [(root_h, root_h, 0, (), (), 0)]
+    nodes = {0: _Node(0, (), problem._human_state, root_h, root_key, root_info)}
+    # (f, h, size, pool-index sequence, candidate-position sequence, subset),
+    # f and h scaled
+    heap: list = [(root_key, root_key, 0, (), (), 0)]
     expansions = 0
     generated = 0
 
@@ -566,24 +592,25 @@ def generate_progressive(
                     continue
                 info = child_info(node, i, state)
                 child_h = heuristic(metric, variant, info, target, len(remaining) - 1)
+                h_key = _scaled(child_h, scale)
             else:
                 # the subset's model, info and h depend on the subset alone
-                state, info, child_h = known.state, known.info, known.h
+                state, info, child_h, h_key = known.state, known.info, known.h, known.h_key
             step_rho = rho(metric, node.info, info)
             if on_edge:
                 on_edge(node.h, step_rho, child_h)
-            if child_h == inf:
+            if h_key == inf:
                 continue  # dead end: effort gap left but no changes to spend
-            child_g = node.g + step_rho + epsilon
+            child_g = node.g + step_rho * scale + epsilon_key
             child_idx = idx_seq + (idx,)
             if known is not None and (child_g, child_idx) >= (known.g, known.idx_seq):
                 continue
             child_seq = seq + (i,)
-            nodes[child_mask] = _Node(child_g, child_idx, state, child_h, info)
+            nodes[child_mask] = _Node(child_g, child_idx, state, child_h, h_key, info)
             generated += 1
             heappush(
                 heap,
-                (child_g + child_h, child_h, len(child_seq), child_seq, child_idx, child_mask),
+                (child_g + h_key, h_key, len(child_seq), child_seq, child_idx, child_mask),
             )
 
     raise ReconciliationError("search exhausted without finding a complete explanation")

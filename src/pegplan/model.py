@@ -9,11 +9,20 @@ models can be diffed, edited, and reconciled one feature at a time.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
+
+# The built-in sha256, imported as ``random`` imports its sha512: through
+# ``hashlib`` it would load OpenSSL, several megabytes for one hash.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "Fact",
@@ -190,9 +199,15 @@ class Model:
         return Model(self.facts, rest + (action,), self.init, self.goal)
 
     def digest(self) -> str:
-        """Short stable hash of the model's feature content."""
-        text = "\n".join(sorted(f.render() for f in gamma(self)))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        """Short stable hash of the model's feature content.
+
+        The first 12 hex digits of the sha256 of the model's feature strings
+        (the renderings of :func:`gamma`'s features), sorted and joined by
+        newlines.  The strings are rendered directly, with no
+        :class:`Feature` built.
+        """
+        text = "\n".join(sorted(_feature_strings(self)))
+        return sha256(text.encode()).hexdigest()[:12]
 
 
 class FeatureKind(Enum):
@@ -205,6 +220,38 @@ class FeatureKind(Enum):
     ADD_EFFECT = "add-effect"
     DELETE_EFFECT = "delete-effect"
     COST = "cost"
+
+
+# The action field holding each fact-carrying feature kind of an action.
+_ACTION_SLOTS = {
+    FeatureKind.PRECONDITION: "preconditions",
+    FeatureKind.ADD_EFFECT: "add_effects",
+    FeatureKind.DELETE_EFFECT: "delete_effects",
+}
+
+
+def _feature_string(kind: FeatureKind, owner: str | None, value: object) -> str:
+    """The feature grammar: ``value`` is the rendered fact, or the cost.
+
+    Init and goal features have no owner: ``init-has-<fact>``.  An action's
+    features name it and their kind: ``<action>-has-precondition-<fact>``,
+    ``<action>-has-cost-<cost>``.
+    """
+    if owner is None:
+        return f"{kind.value}-has-{value}"
+    return f"{owner}-has-{kind.value}-{value}"
+
+
+def _feature_strings(model: Model) -> Iterable[str]:
+    """The rendered string of each feature in ``gamma(model)``, built without it."""
+    for kind, facts in ((FeatureKind.INIT, model.init), (FeatureKind.GOAL, model.goal)):
+        for fact in facts:
+            yield _feature_string(kind, None, fact.render())
+    for act in model.actions:
+        for kind, slot in _ACTION_SLOTS.items():
+            for fact in getattr(act, slot):
+                yield _feature_string(kind, act.name, fact.render())
+        yield _feature_string(FeatureKind.COST, act.name, act.cost)
 
 
 @dataclass(frozen=True, order=True)
@@ -234,13 +281,8 @@ class Feature:
         object.__setattr__(self, "sort_index", self._render())
 
     def _render(self) -> str:
-        if self.kind is FeatureKind.INIT:
-            return f"init-has-{self.fact.render()}"
-        if self.kind is FeatureKind.GOAL:
-            return f"goal-has-{self.fact.render()}"
-        if self.kind is FeatureKind.COST:
-            return f"{self.owner}-has-cost-{self.cost}"
-        return f"{self.owner}-has-{self.kind.value}-{self.fact.render()}"
+        value = self.cost if self.kind is FeatureKind.COST else self.fact.render()
+        return _feature_string(self.kind, self.owner, value)
 
     def render(self) -> str:
         return self.sort_index
@@ -382,7 +424,9 @@ def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
     """The unit changes that transform ``m1`` into a model feature-equal to ``m2``.
 
     Cost differences contribute a single replace-style ``add`` of the target
-    cost feature rather than an add/remove pair.
+    cost feature rather than an add/remove pair.  Features are built only
+    for the init and goal facts that differ and for the actions that
+    differ; an action that is the same, or equal, in both models adds none.
     """
     names1 = {a.name for a in m1.actions}
     names2 = {a.name for a in m2.actions}
@@ -391,23 +435,26 @@ def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
         raise UniverseMismatchError(
             "models do not share an action-name universe: " + ", ".join(diff)
         )
-    g1 = gamma(m1)
-    g2 = gamma(m2)
     changes: set[FeatureChange] = set()
-    for feat in g2 - g1:
-        changes.add(FeatureChange("add", feat))
-    for feat in g1 - g2:
-        if feat.kind is FeatureKind.COST:
-            continue  # covered by the replace-style add of m2's cost
-        changes.add(FeatureChange("remove", feat))
+
+    def toggle(kind: FeatureKind, owner: str | None, had: frozenset, wants: frozenset):
+        for fact in wants - had:
+            changes.add(FeatureChange("add", Feature(kind, owner=owner, fact=fact)))
+        for fact in had - wants:
+            changes.add(FeatureChange("remove", Feature(kind, owner=owner, fact=fact)))
+
+    toggle(FeatureKind.INIT, None, m1.init, m2.init)
+    toggle(FeatureKind.GOAL, None, m1.goal, m2.goal)
+    # Both action tuples are sorted by name over one name set, so they pair up.
+    for a1, a2 in zip(m1.actions, m2.actions):
+        if a1 is a2 or a1 == a2:
+            continue
+        for kind, slot in _ACTION_SLOTS.items():
+            toggle(kind, a1.name, getattr(a1, slot), getattr(a2, slot))
+        if a1.cost != a2.cost:
+            cost = Feature(FeatureKind.COST, owner=a1.name, cost=a2.cost)
+            changes.add(FeatureChange("add", cost))
     return frozenset(changes)
-
-
-_ACTION_SLOTS = {
-    FeatureKind.PRECONDITION: "preconditions",
-    FeatureKind.ADD_EFFECT: "add_effects",
-    FeatureKind.DELETE_EFFECT: "delete_effects",
-}
 
 
 def _action(model: Model, name: str) -> GroundAction:

@@ -9,11 +9,14 @@ models also from enumerating action sequences by length in name order.
 Edit distance comes from memoized recursion (not the iterative two-row
 table), and minimal explanation effort and the concise explanation from
 exhaustive enumeration of change orderings (no heuristic search, no subset
-lattice).
+lattice).  A model's digest and the delta between two models come from
+their full :func:`~pegplan.model.gamma` feature sets (the package renders
+feature strings without features and diffs only the actions that differ).
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import random
@@ -32,7 +35,28 @@ from pegplan import (
     UnknownActionError,
     optimal_plan,
 )
-from pegplan.model import ChangePreconditionError, InvalidEditError
+from pegplan.model import ChangePreconditionError, FeatureKind, InvalidEditError, gamma
+
+
+def gamma_digest(model: Model) -> str:
+    """:meth:`Model.digest` by its definition: sha256 over the sorted
+    renderings of the model's feature set, the first 12 hex digits."""
+    text = "\n".join(sorted(f.render() for f in gamma(model)))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def gamma_delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
+    """:func:`~pegplan.delta` by set difference of the two feature sets.
+
+    Features only ``m2`` has are added, features only ``m1`` has are
+    removed, except ``m1``'s costs: an action's cost is replaced by adding
+    ``m2``'s cost feature.  The two models share their action names.
+    """
+    g1, g2 = gamma(m1), gamma(m2)
+    return frozenset(
+        {FeatureChange("add", f) for f in g2 - g1}
+        | {FeatureChange("remove", f) for f in g1 - g2 if f.kind is not FeatureKind.COST}
+    )
 
 
 def simulated_cost(plan, model: Model) -> int | None:
@@ -308,6 +332,21 @@ def _random_edit(rng: random.Random, model: Model) -> FeatureChange | None:
     feature = Feature(kind, owner=owner, fact=fact)
     direction = "remove" if feature in gamma(model) else "add"
     return FeatureChange(direction, feature)
+
+
+def random_edit_chain(rng: random.Random, model: Model, steps: int) -> list[Model]:
+    """``model`` and the models ``steps`` random valid edits derive from it
+    in turn, each by :func:`~pegplan.apply_change`."""
+    chain = [model]
+    while len(chain) <= steps:
+        change = _random_edit(rng, chain[-1])
+        if change is None:
+            continue
+        try:
+            chain.append(apply_change(chain[-1], change))
+        except (ChangePreconditionError, InvalidEditError):
+            continue
+    return chain
 
 
 def random_reconciliation(

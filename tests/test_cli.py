@@ -267,6 +267,32 @@ class TestBenchAndSweep:
         assert exc.value.code == 2
         assert "--runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", ["bench", "sweep"])
+    def test_seed_of_too_many_digits_fails_before_any_probe(self, study, monkeypatch, capsys):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr("pegplan.bench.perturb_model", no_probe)
+        for seed in ("9" * 1001, "9" * 4300, "-" + "1" * 5000):
+            with pytest.raises(SystemExit) as exc:
+                dispatch([study, "--fixture", FIXTURE, "--seed", seed])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == (
+                f"pegplan {study}: error: argument --seed: expected at most 1000 digits, "
+                f"got {len(seed.lstrip('-'))}"
+            )
+
+    @pytest.mark.parametrize(
+        "study", ["bench --runs 2", "sweep --p-lo 0.1 --p-hi 0.2 --p-step 0.1"]
+    )
+    def test_seed_of_a_thousand_digits_runs(self, study, capsys):
+        seed = "9" * 1000
+        rc = dispatch(study.split() + ["--fixture", FIXTURE, "--seed", seed, "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["seed"] for r in payload["records"]] == [int(seed), int(seed) + 1]
+
     def test_sweep_grid_too_large_fails_before_any_probe(self, monkeypatch, capsys):
         def no_probe(*args, **kwargs):
             raise AssertionError("a probe ran")

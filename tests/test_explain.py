@@ -26,6 +26,9 @@ from pegplan import (
     perturb_model,
 )
 
+from pegplan import explain
+from pegplan.metrics import heuristic, rho
+
 from oracles import constrained_reconciliation, exhaustive_min_effort, random_reconciliation
 
 P, G = Fact("p"), Fact("g")
@@ -287,6 +290,61 @@ class TestProgressive:
             trace = generate_progressive(problem, metric=MetricKind.P1)
             net = abs(trace.steps[0].cost_star - trace.steps[-1].cost_star)
             assert trace.sum_rho >= net
+
+
+class TestIntegerKeys:
+    """Progressive's A* keys are integers scaled from the exact rationals;
+    the search must find the same minimum effort at any epsilon, and the
+    instrument must still see the heuristic's own Fractions."""
+
+    @pytest.mark.parametrize(
+        "epsilon", [Fraction(0), Fraction(1, 1000), Fraction(1, 10**9 + 7)], ids=str
+    )
+    def test_minimum_effort_and_instrument_values(self, epsilon, monkeypatch):
+        returned = []
+
+        def recording_heuristic(*args):
+            h = heuristic(*args)
+            returned.append(h)
+            return h
+
+        monkeypatch.setattr(explain, "heuristic", recording_heuristic)
+        rng = random.Random(18)
+        sizes = []
+        for _ in range(30):
+            problem = constrained_reconciliation(rng, max_pool=5)
+            target = (problem.robot_plan.cost, problem.robot_plan.actions)
+            n = len(problem._changes)
+            sizes.append(n)
+            for metric in MetricKind:
+                returned.clear()
+                seen = []
+                popped_f = [Fraction(0)]
+
+                def on_node(model, h, seq, _p=problem, _m=metric):
+                    info = _p._cost_and_plan(model)
+                    assert h == heuristic(_m, "safe", info, target, n - len(seq))
+                    seen.append(h)
+                    # a consistent h pops f = g + h in nondecreasing order
+                    path = [_p._cost_and_plan(_p.apply_changes(seq[:k])) for k in range(len(seq))]
+                    path.append(info)
+                    g = sum(rho(_m, a, b) for a, b in zip(path, path[1:])) + epsilon * len(seq)
+                    assert g + h >= popped_f[-1]
+                    popped_f.append(g + h)
+
+                def on_edge(parent_h, step_rho, child_h):
+                    seen.extend((parent_h, child_h))
+
+                trace = generate_progressive(
+                    problem, metric=metric, variant="safe", epsilon=epsilon,
+                    instrument=SearchInstrument(on_node=on_node, on_edge=on_edge),
+                )
+                assert trace.complete
+                assert trace.sum_rho == exhaustive_min_effort(problem, metric.value)
+                ids = {id(h) for h in returned}
+                assert seen and all(id(h) in ids for h in seen)
+                assert all(type(h) is Fraction for h in seen if h != inf)
+        assert max(sizes) >= 4
 
 
 class TestConcise:

@@ -25,7 +25,7 @@ from pegplan import (
 )
 from pegplan.model import Feature
 
-from oracles import random_model
+from oracles import gamma_delta, gamma_digest, random_edit_chain, random_model
 
 P, Q, G = Fact("p"), Fact("q"), Fact("g")
 
@@ -207,6 +207,40 @@ class TestGammaReconstruct:
             m = random_model(rng)
             cost_feats = [f for f in gamma(m) if f.kind is FeatureKind.COST]
             assert sorted(f.owner for f in cost_feats) == sorted(a.name for a in m.actions)
+
+
+class TestAgainstFeatureSets:
+    """``digest`` and ``delta`` agree with their definitions over ``gamma``."""
+
+    def test_random_model_pairs(self):
+        rng = random.Random(21)
+        shared = 0
+        for _ in range(300):
+            m1, m2 = random_model(rng), random_model(rng, min_cost=0)
+            assert (m1.digest(), m2.digest()) == (gamma_digest(m1), gamma_digest(m2))
+            if {a.name for a in m1.actions} != {a.name for a in m2.actions}:
+                with pytest.raises(UniverseMismatchError):
+                    delta(m1, m2)
+                continue
+            shared += 1
+            assert delta(m1, m2) == gamma_delta(m1, m2)
+            assert delta(m2, m1) == gamma_delta(m2, m1)
+        assert shared >= 50
+
+    def test_edit_chains(self):
+        rng = random.Random(22)
+        kinds = set()
+        for _ in range(40):
+            chain = random_edit_chain(rng, random_model(rng), 8)
+            for before, after in zip(chain, chain[1:]):
+                (change,) = delta(before, after)
+                kinds.add(change.feature.kind)
+            for model in chain:
+                assert model.digest() == gamma_digest(model)
+                for other in (chain[0], chain[-1]):
+                    assert delta(model, other) == gamma_delta(model, other)
+                    assert delta(other, model) == gamma_delta(other, model)
+        assert kinds == set(FeatureKind)
 
 
 class TestDelta:
