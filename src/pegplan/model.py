@@ -75,7 +75,7 @@ def _check_ident(text: str, what: str) -> str:
     return text
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fact:
     """A ground atom, rendered as ``name`` or ``name(arg1,arg2,...)``."""
 
@@ -96,6 +96,11 @@ class Fact:
         return self.render()
 
 
+# One empty fact set for every empty init, goal or action slot that an edit
+# or grounding makes: each empty frozenset is a separate 216-byte object.
+_NO_FACTS: frozenset[Fact] = frozenset()
+
+
 _FACT_RE = re.compile(r"(?P<name>[^(),\s]+)(?:\((?P<args>[^()]*)\))?$")
 
 
@@ -112,7 +117,7 @@ def parse_fact(text: str) -> Fact:
     return Fact(m.group("name"), args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundAction:
     """A ground action with disjoint add/delete effects and an integer cost."""
 
@@ -140,7 +145,7 @@ def _as_fact_set(facts: Iterable[Fact]) -> frozenset[Fact]:
     return facts if isinstance(facts, frozenset) else frozenset(facts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Model:
     """A ground planning model: fact universe, actions, initial state, goal."""
 
@@ -254,7 +259,7 @@ def _feature_strings(model: Model) -> Iterable[str]:
         yield _feature_string(FeatureKind.COST, act.name, act.cost)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Feature:
     """One atomic statement about a model, identified by its rendered string."""
 
@@ -314,7 +319,7 @@ def parse_feature(text: str) -> Feature:
     raise ModelError(f"cannot parse feature {text!r}: unknown feature kind")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FeatureChange:
     """One unit edit: add or remove a feature.
 
@@ -495,7 +500,7 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
         raise ChangePreconditionError(f"{feat.render()} is already present")
     if not adding and feat.fact not in current:
         raise ChangePreconditionError(f"{feat.render()} is absent")
-    updated = current | {feat.fact} if adding else current - {feat.fact}
+    updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
 
     if feat.kind is FeatureKind.INIT:
         return Model(model.facts, model.actions, updated, model.goal)

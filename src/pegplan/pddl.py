@@ -9,11 +9,12 @@ values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .model import Fact, GroundAction, Model, ModelError
+from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError
 
 __all__ = [
     "ParseError",
@@ -91,7 +92,9 @@ def _tokenize(text: str) -> Iterator[_Token]:
         while i < n and text[i] not in " \t\r\n();":
             i += 1
             col += 1
-        yield _Token(text[start:i].lower(), line, start_col)
+        # Interned: the models read in one process share one string per
+        # identifier, however often their text is parsed.
+        yield _Token(sys.intern(text[start:i].lower()), line, start_col)
 
 
 class _Sexp:
@@ -469,7 +472,7 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
 
     def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> frozenset[Fact]:
         facts = (_ground_atom(a, binding, arities) for a in lifted)
-        return frozenset(interned.setdefault(f, f) for f in facts)
+        return frozenset(interned.setdefault(f, f) for f in facts) or _NO_FACTS
 
     init_facts = atoms(problem.init, {})
     goal_facts = atoms(problem.goal, {})
@@ -497,7 +500,7 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
             statics = {f for f in pre if f.name not in dynamic}
             if not statics <= init_facts:
                 continue
-            dele = dele - add  # add wins when an action both adds and deletes
+            dele = dele - add or _NO_FACTS  # add wins when an action both adds and deletes
             name = "-".join((schema.name,) + combo)
             candidates.append(GroundAction(name, pre, add, dele, cost))
 

@@ -11,6 +11,22 @@ actions, appending an action to two paths where one is a prefix of the
 other can reverse their name order, and a zero-cost loop can leave no
 lexicographically smallest cheapest plan at all.
 
+When every action costs the same c (0 included), a path of length n costs
+c * n, so the canonical order is (length, names), and a FIFO breadth-first
+search finds the same plan with the same work.  Ops are tried in name order
+(see :class:`CompiledModel`), so a state of length n with path p queues its
+successors at keys (n + 1, p + (name,)) in increasing order.  States leave
+the queue in the order they entered it, and every state queued from a later
+state carries a larger key than every state queued from an earlier one: by
+length if the lengths differ, and otherwise by the first name where the two
+same-length paths differ.  So keys enter the queue strictly increasing, the
+queue pops by key exactly as the heap does, and a state reached again never
+has a smaller key than its first entry.  The heap search therefore never
+re-queues a state and never pops a stale entry: it queues each state once,
+at its first path, and pops them in FIFO order.  The breadth-first search
+keeps that first path as one parent link per state, and its plan,
+expansions, generated states and budget error equal the heap search's.
+
 States are bitmasks over the model's fact universe.  This module owns that
 encoding: :func:`compile_model` turns a model into a hashable
 :class:`CompiledModel`, :func:`compile_edits` turns unit changes into edits
@@ -75,9 +91,11 @@ class CompiledModel(NamedTuple):
     """A model as bitmasks over its fact universe, for the planner's inner loop.
 
     Facts get bits in the order of their rendered strings.  ``ops`` holds one
-    (pre, add, keep, cost, name) tuple per action in model order, where
-    ``keep`` clears the delete effects.  Equal models compile to equal
-    tuples, so a compiled model serves as a cache key for its model.
+    (pre, add, keep, cost, name) tuple per action in model order, which is
+    action-name order, where ``keep`` clears the delete effects.  The
+    breadth-first planner relies on that order: it tries ops in it.  Equal
+    models compile to equal tuples, so a compiled model serves as a cache
+    key for its model.
     """
 
     ops: tuple[tuple[int, int, int, int, str], ...]
@@ -210,11 +228,28 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
     lexicographically smallest by action names (see the module docstring),
     so it depends on the model alone.  Raises :class:`BudgetExceededError`
     when ``node_budget`` expansions are exceeded before an answer is found.
+    A model whose actions all cost the same is searched breadth-first, any
+    other cheapest-first; both return the same plan and counters.
     """
     start = time.perf_counter()
     c = compile_model(model)
     if not _goal_relaxed_reachable(c):
         return PlanResult(False, None, 0, 0, time.perf_counter() - start)
+    search = _breadth_first if len({op[3] for op in c.ops}) <= 1 else _cheapest_first
+    plan, expansions, generated = search(c, node_budget)
+    return PlanResult(plan is not None, plan, expansions, generated, time.perf_counter() - start)
+
+
+def _over_budget(node_budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"optimal-plan search exceeded the node budget of {node_budget}")
+
+
+def _cheapest_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | None, int, int]:
+    """Uniform-cost search popping paths by (cost, length, action names).
+
+    Returns the canonical plan (None if there is none), the expansions and
+    the generated states.
+    """
     ops, init, goal = c
     expansions = 0
     generated = 0
@@ -231,13 +266,9 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
         closed.add(state)
         expansions += 1
         if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(
-                f"optimal-plan search exceeded the node budget of {node_budget}"
-            )
+            raise _over_budget(node_budget)
         if state & goal == goal:
-            return PlanResult(
-                True, Plan(path, g), expansions, generated, time.perf_counter() - start
-            )
+            return Plan(path, g), expansions, generated
         n += 1
         for pre, add, keep, cost, name in ops:
             if state & pre != pre:
@@ -253,7 +284,44 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
             heappush(heap, key + (succ,))
             generated += 1
 
-    return PlanResult(False, None, expansions, generated, time.perf_counter() - start)
+    return None, expansions, generated
+
+
+def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | None, int, int]:
+    """:func:`_cheapest_first` for a model whose actions all cost the same.
+
+    A FIFO queue over states, with one parent link per state in place of
+    keys and path tuples; the module docstring shows why it pops, counts
+    and returns exactly what :func:`_cheapest_first` does.
+    """
+    ops, init, goal = c
+    expansions = 0
+    generated = 0
+    parent: dict[int, tuple[int, str] | None] = {init: None}
+    queue = [init]
+    for state in queue:  # the loop also visits the states appended below
+        expansions += 1
+        if node_budget is not None and expansions > node_budget:
+            raise _over_budget(node_budget)
+        if state & goal == goal:
+            path = []
+            while (link := parent[state]) is not None:
+                state, name = link
+                path.append(name)
+            path.reverse()
+            cost = ops[0][3] * len(path) if path else 0
+            return Plan(tuple(path), cost), expansions, generated
+        for pre, add, keep, _, name in ops:
+            if state & pre != pre:
+                continue
+            succ = (state & keep) | add
+            if succ in parent:
+                continue
+            parent[succ] = (state, name)
+            queue.append(succ)
+            generated += 1
+
+    return None, expansions, generated
 
 
 def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int | None:

@@ -23,7 +23,7 @@ from pegplan import (
     parse_feature,
     reconstruct,
 )
-from pegplan.model import Feature
+from pegplan.model import _NO_FACTS, Feature
 
 from oracles import gamma_delta, gamma_digest, random_edit_chain, random_model
 
@@ -108,6 +108,12 @@ class TestActionsAndModels:
         m2 = Model(frozenset({P, Q}), (b, a), frozenset(), frozenset({P}))
         assert m1.digest() == m2.digest()
         assert m1 == m2
+
+    def test_model_classes_carry_no_instance_dict(self):
+        m = tiny_model()
+        feature = Feature(FeatureKind.INIT, fact=P)
+        for obj in (P, m.action("go"), m, feature, FeatureChange("add", feature)):
+            assert not hasattr(obj, "__dict__"), type(obj)
 
     def test_with_facts_copies_only_a_grown_universe(self):
         m = tiny_model()
@@ -344,6 +350,13 @@ class TestApplyChange:
         # go already adds g, so making it also delete g must fail
         with pytest.raises(InvalidEditError):
             apply_change(tiny_model(), parse_change("add go-has-delete-effect-g"))
+
+    def test_a_removal_that_empties_a_set_shares_one_empty_set(self):
+        m = tiny_model()
+        for feature in ("goal-has-g", "go-has-delete-effect-q", "init-has-p", "init-has-q"):
+            m = apply_change(m, parse_change(f"remove {feature}"))
+        assert m.goal is _NO_FACTS and m.init is _NO_FACTS
+        assert m.action("go").delete_effects is _NO_FACTS
 
     def test_inverse_changes_cancel(self):
         m = tiny_model()

@@ -1,8 +1,11 @@
 """Parser, grounder, and fixture-format tests."""
 
+import sys
+
 import pytest
 
 from pegplan import Fact, ground, load_fixture, split_conditional_costs
+from pegplan.model import _NO_FACTS
 from pegplan.pddl import (
     GroundingError,
     ParseError,
@@ -147,6 +150,15 @@ class TestGrounding:
         for act in rover_p01.actions:
             used += [act.preconditions, act.add_effects, act.delete_effects]
         assert all(id(f) in universe for facts in used for f in facts)
+
+    def test_empty_sets_and_names_are_shared(self, rover_p01):
+        used = [rover_p01.init, rover_p01.goal]
+        for act in rover_p01.actions:
+            used += [act.preconditions, act.add_effects, act.delete_effects]
+        empty = [facts for facts in used if not facts]
+        assert empty and all(facts is _NO_FACTS for facts in empty)
+        names = [name for f in rover_p01.facts for name in (f.name, *f.args)]
+        assert all(sys.intern(name) is name for name in names)
 
     def test_add_wins_when_effects_overlap(self):
         model = ground(parse_domain(TOGGLER), parse_problem(TOGGLER_PROBLEM))

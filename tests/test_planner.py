@@ -25,8 +25,9 @@ from pegplan import (
     perturb_model,
     plan_cost,
 )
+from pegplan import planner
 from pegplan.pddl import ground, parse_domain, parse_problem
-from pegplan.planner import compile_model
+from pegplan.planner import _breadth_first, _cheapest_first, compile_model
 
 from conftest import BENCHMARKS
 from oracles import (
@@ -217,6 +218,76 @@ class TestPinnedSearch:
         got = {name: search_record(m) for name, m in models.items()}
         drifted = [(name, got[name], pins[name]) for name in models if got[name] != pins[name]]
         assert drifted == []
+
+
+def with_cost(model: Model, cost: int) -> Model:
+    """The model with every action's cost set to ``cost``."""
+    actions = tuple(dataclasses.replace(a, cost=cost) for a in model.actions)
+    return dataclasses.replace(model, actions=actions)
+
+
+def budget_outcome(search, compiled, node_budget):
+    """What ``search`` returns, or the message of the budget error it raises."""
+    try:
+        return search(compiled, node_budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+class TestBreadthFirst:
+    """On models whose actions all cost the same, the breadth-first search
+    returns the heap search's plan, counters and budget errors."""
+
+    @staticmethod
+    def uniform_models(rover_p01: Model, rover_p02: Model) -> list[Model]:
+        """Rover p01/p02 and their perturbations (every cost 1), and seeded
+        random models with every cost set to 0, 1 and 3."""
+        models = [rover_p01, rover_p02]
+        for seed in range(10):
+            models.append(perturb_model(rover_p01, PerturbSpec(0.1, seed))[0])
+            models.append(perturb_model(rover_p02, PerturbSpec(0.2, seed))[0])
+        rng = random.Random(71)
+        for _ in range(300):
+            m = random_model(rng)
+            models.extend(with_cost(m, cost) for cost in (0, 1, 3))
+        return models
+
+    def test_same_plan_and_counters_as_the_heap_search(self, rover_p01, rover_p02):
+        solvable = unsolvable = 0
+        for m in self.uniform_models(rover_p01, rover_p02):
+            c = compile_model(m)
+            got = _breadth_first(c, None)
+            assert got == _cheapest_first(c, None), m
+            plan = got[0]
+            if plan is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+                assert plan_cost(plan, m) == plan.cost
+        assert solvable > 300 and unsolvable > 100
+
+    def test_same_budget_errors_as_the_heap_search(self, rover_p01, rover_p02):
+        for m in self.uniform_models(rover_p01, rover_p02)[::7]:
+            c = compile_model(m)
+            expansions = _cheapest_first(c, None)[1]
+            for budget in {0, 1, 2, 5, expansions - 1, expansions}:
+                got = budget_outcome(_breadth_first, c, budget)
+                assert got == budget_outcome(_cheapest_first, c, budget), (m, budget)
+                assert isinstance(got, str) == (budget < expansions)
+
+    def test_optimal_plan_picks_the_search_by_costs(self, rover_p01, errand_fixture_pair, monkeypatch):
+        robot, _ = errand_fixture_pair
+        assert len({a.cost for a in robot.actions}) > 1
+        want_mixed, want_uniform = optimal_plan(robot), optimal_plan(rover_p01)
+
+        def refuse(c, node_budget):
+            raise AssertionError("the other search was expected")
+
+        monkeypatch.setattr(planner, "_breadth_first", refuse)
+        assert optimal_plan(robot).plan == want_mixed.plan
+        monkeypatch.undo()
+        monkeypatch.setattr(planner, "_cheapest_first", refuse)
+        assert optimal_plan(rover_p01).plan == want_uniform.plan
 
 
 class TestPlanCost:
