@@ -32,7 +32,7 @@ from .model import (
     delta,
 )
 from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit
-from .planner import compile_edits, compile_model, inert_edits, optimal_plan, plan_cost
+from .planner import compile_edits, compile_model, envelope, inert_edits, optimal_plan, plan_cost
 
 __all__ = [
     "ReconciliationError",
@@ -110,6 +110,24 @@ class ReconciliationProblem:
     and plans, reached by a valid path (its prefixes are valid sets).  So
     no minimum-size complete explanation holds an inert change, nor, when
     epsilon > 0, does one of minimum effort.
+
+    *Floor.*  Let M_r be the most relaxed model of the human and robot
+    models (:func:`~pegplan.planner.envelope`).  Each feature of a lattice
+    model M is a feature of one of them, so, action by action, M's
+    preconditions and deletes hold M_r's, its adds lie within M_r's, its
+    cost is no lower, its init lies within M_r's and its goal holds M_r's.
+    Preconditions and goals are positive, so a plan of M from a state s is
+    a plan of M_r from every superset s' of s, at no greater cost: each
+    action applies in M_r, whose preconditions s holds, and leaves a
+    superset of its M successor, since M_r deletes no more and adds no
+    less; and M_r's goal lies within M's.  From the inits, every plan of a
+    solvable lattice model is a plan of M_r, so c_min = cost*(M_r) ≤
+    cost*(M).  With w the dearest action of M_r, every such plan, the
+    anchored one included, also has at least ⌈c_min / w⌉ actions (0 when
+    w = 0).  These are the floors of the ``safe`` p2/p4 heuristic at an
+    unsolvable node (see :mod:`~pegplan.metrics`).  The robot model is a
+    lattice model, so M_r is solvable.  It is planned, through the plan
+    cache, only when a search first needs a floor.
     """
 
     def __init__(
@@ -156,7 +174,9 @@ class ReconciliationProblem:
         self._human_state = compile_model(self.human)
         changes = sorted(self.pool)
         edits = compile_edits(self.human, changes)
-        inert = inert_edits(self._human_state, robot_state, edits)
+        self._relaxed, constrained = envelope(self._human_state, robot_state)
+        self._relaxed_cost: int | None = None  # cost*(M_r), planned on first use
+        inert = inert_edits(constrained, edits)
         self._changes: tuple[FeatureChange, ...] = tuple(
             c for c, dead in zip(changes, inert) if not dead
         )
@@ -218,6 +238,16 @@ class ReconciliationProblem:
 
     def planner_calls(self) -> int:
         return len(self._plan_cache)
+
+    def _c_min(self, metric: MetricKind) -> int:
+        """The lattice's floor for ``metric``: cost*(M_r) for p2, and for p4
+        the fewest actions that can cost that much (see the class docstring)."""
+        if self._relaxed_cost is None:
+            self._relaxed_cost = self.plan_result(self._relaxed).plan.cost
+        if metric is MetricKind.P2:
+            return self._relaxed_cost
+        dearest = max((op[3] for op in self._relaxed.ops), default=0)
+        return -(-self._relaxed_cost // dearest) if dearest else 0
 
     # -- reconciliation predicates -------------------------------------
 
@@ -343,9 +373,11 @@ class ExplanationTrace:
     child subsets queued; concise queues a child before deriving its
     model, so it also counts a subset whose edit turns out invalid when
     dequeued.  ``planner_calls`` counts the models the problem actually
-    planned, over all its searches so far; models refuted by a witness
-    plan, and progressive children whose optimal cost follows from their
-    parent's (see :func:`generate_progressive`), are not planned.
+    planned, over all its searches so far, the most relaxed model M_r
+    included once a search has needed its floor (see
+    :class:`ReconciliationProblem`); models refuted by a witness plan, and
+    progressive children whose optimal cost follows from their parent's
+    (see :func:`generate_progressive`), are not planned.
     """
 
     mode: str  # "peg" | "concise"
@@ -384,7 +416,7 @@ class SearchInstrument:
     on_edge: Callable[[Fraction | float, int, Fraction | float], None] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     g: int  # scaled, as the A* keys are (see generate_progressive)
     idx_seq: tuple[int, ...]  # candidate positions along the path
@@ -507,13 +539,18 @@ def generate_progressive(
     several explanations with tied f, which is popped first depends on h,
     and so on the relevant-change count.
 
+    The ``safe`` p2/p4 heuristic takes the problem's floor c_min (see
+    :class:`ReconciliationProblem`), which plans M_r.  That happens only
+    when the search first scores a node whose h can depend on it: a node at
+    value 0 (cost 0 for p2, the empty plan for p4), as an unsolvable node
+    is, with a gap left and at least two changes remaining.
+
     The A* keys are integers: g, h and f scaled by L = lcm(2, the
-    denominator of ``epsilon``, 1, ..., n), with n the number of relevant
-    changes.  Each h is an integer, a half, or a fraction over the node's
-    remaining count, at most n, and each g a sum of integer efforts and
-    epsilons, so L clears every denominator (asserted, never rounded); an
-    infinite h stays inf.  Scaling by one positive L keeps every comparison
-    and every tie of the exact rationals, so nodes pop in the same order.
+    denominator of ``epsilon``).  Each h is an integer or a half, and each
+    g a sum of integer efforts and epsilons, so L clears every denominator
+    (asserted, never rounded); an infinite h stays inf.  Scaling by one
+    positive L keeps every comparison and every tie of the exact rationals,
+    so nodes pop in the same order.
 
     ``instrument.on_node`` sees each expanded node as a :class:`Model`,
     built from its path only for that call.  Both probes receive h as the
@@ -543,12 +580,29 @@ def generate_progressive(
                 return cost, target_plan if anchored else optimum, optimum
         return problem._cost_and_plan(state)
 
-    # Every h has denominator 1, 2 or its remaining count, at most n.
-    scale = lcm(2, epsilon.denominator, *range(1, len(changes) + 1))
+    # The floor is taken when a node at value 0 (info[0] = cost 0 for p2,
+    # info[1] = the empty plan for p4) with a gap left and two or more
+    # changes remaining is first scored.  With fewer changes, its h is the
+    # same at every floor up to the target.
+    value = 0 if metric is MetricKind.P2 else 1
+    needs_floor = (
+        variant == "safe" and metric in (MetricKind.P2, MetricKind.P4) and bool(target[value])
+    )
+    c_min = 0
+
+    def score(info: tuple, remaining: int) -> Fraction | float:
+        nonlocal c_min, needs_floor
+        if needs_floor and remaining > 1 and not info[value]:
+            c_min = problem._c_min(metric)
+            needs_floor = False
+        return heuristic(metric, variant, info, target, remaining, c_min)
+
+    # Every h has denominator 1 or 2.
+    scale = lcm(2, epsilon.denominator)
     epsilon_key = _scaled(epsilon, scale)
 
     root_info = problem._cost_and_plan(problem._human_state)
-    root_h = heuristic(metric, variant, root_info, target, len(changes))
+    root_h = score(root_info, len(changes))
     root_key = _scaled(root_h, scale)
     if root_key == inf:
         raise ReconciliationError("no complete explanation is reachable")
@@ -591,7 +645,7 @@ def generate_progressive(
                     # effect was removed; the change stays available further down
                     continue
                 info = child_info(node, i, state)
-                child_h = heuristic(metric, variant, info, target, len(remaining) - 1)
+                child_h = score(info, len(remaining) - 1)
                 h_key = _scaled(child_h, scale)
             else:
                 # the subset's model, info and h depend on the subset alone

@@ -31,9 +31,10 @@ States are bitmasks over the model's fact universe.  This module owns that
 encoding: :func:`compile_model` turns a model into a hashable
 :class:`CompiledModel`, :func:`compile_edits` turns unit changes into edits
 of it, and :func:`apply_edit` applies one.  A reconciliation search compiles
-the human model and its change pool once, drops the edits that
-:func:`inert_edits` finds change no plan, and then derives every lattice
-node with one edit; the planner and :func:`plan_cost` accept either form.
+the human model and its change pool once, takes the lattice's
+:func:`envelope`, drops the edits that :func:`inert_edits` finds change no
+plan, and then derives every lattice node with one edit; the planner and
+:func:`plan_cost` accept either form.
 """
 
 from __future__ import annotations
@@ -170,26 +171,53 @@ def apply_edit(state: CompiledModel, edit: Edit) -> CompiledModel | None:
     return CompiledModel(ops[:i] + ((pre, add, keep, cost, name),) + ops[i + 1:], init, goal)
 
 
-def inert_edits(
-    human: CompiledModel, robot: CompiledModel, edits: Sequence[Edit]
-) -> tuple[bool, ...]:
+def envelope(a: CompiledModel, b: CompiledModel) -> tuple[CompiledModel, CompiledModel]:
+    """The most relaxed and the most constrained model between ``a`` and ``b``.
+
+    Both compiled models share one fact universe and action order.  The
+    most relaxed model M_r takes, per action, the facts both preconditions
+    need, the facts either adds, the facts both delete and the lower cost;
+    its init holds the facts of either init and its goal the facts of both
+    goals.  The most constrained model M_c is the dual: either's
+    preconditions and deletes, both's adds, the higher cost, both inits and
+    either goal.  A model whose every feature is a feature of ``a`` or of
+    ``b`` lies between the two, mask by mask (see
+    :class:`~pegplan.explain.ReconciliationProblem` for what M_r bounds).
+    """
+    relaxed, constrained = [], []
+    for (pre_a, add_a, keep_a, cost_a, name), (pre_b, add_b, keep_b, cost_b, _) in zip(
+        a.ops, b.ops
+    ):
+        relaxed.append((pre_a & pre_b, add_a | add_b, keep_a | keep_b, min(cost_a, cost_b), name))
+        constrained.append(
+            (pre_a | pre_b, add_a & add_b, keep_a & keep_b, max(cost_a, cost_b), name)
+        )
+    return (
+        CompiledModel(tuple(relaxed), a.init | b.init, a.goal & b.goal),
+        CompiledModel(tuple(constrained), a.init & b.init, a.goal | b.goal),
+    )
+
+
+def inert_edits(constrained: CompiledModel, edits: Sequence[Edit]) -> tuple[bool, ...]:
     """Which edits of a reconciliation pool change no plan and no plan's cost.
 
-    ``human`` and ``robot`` are the two models over one fact universe and
-    action order, and ``edits`` the changes between them.  Let R be the
-    facts in any precondition or goal of either model, and T the facts in
-    both inits that no action of either model deletes.  An edit is inert
-    when it toggles a precondition or goal on a T-fact, an add effect on a
-    T-fact or on a fact outside R, or a delete effect or an init fact
-    outside R.  See :class:`~pegplan.explain.ReconciliationProblem` for why
-    such an edit leaves every plan and its cost unchanged.
+    ``constrained`` is the most constrained model of the human and robot
+    models (see :func:`envelope`), and ``edits`` the changes between them.
+    Let R be the facts it reads, its preconditions and goal, and T its init
+    minus every fact it deletes: the facts in any precondition or goal of
+    either model, and the facts in both inits that no action of either
+    model deletes.  An edit is inert when it toggles a precondition or goal
+    on a T-fact, an add effect on a T-fact or on a fact outside R, or a
+    delete effect or an init fact outside R.  See
+    :class:`~pegplan.explain.ReconciliationProblem` for why such an edit
+    leaves every plan and its cost unchanged.
     """
-    read = human.goal | robot.goal
+    read = constrained.goal
     deleted = 0
-    for pre, _, keep, _, _ in human.ops + robot.ops:
+    for pre, _, keep, _, _ in constrained.ops:
         read |= pre
         deleted |= ~keep
-    fixed = human.init & robot.init & ~deleted
+    fixed = constrained.init & ~deleted
     inert = {
         FeatureKind.PRECONDITION: fixed,
         FeatureKind.GOAL: fixed,

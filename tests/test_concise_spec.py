@@ -202,6 +202,61 @@ def test_inert_changes_change_no_plan_and_enter_no_explanation():
     assert inert_seen > 0
 
 
+def test_every_lattice_plan_is_a_plan_of_the_most_relaxed_model():
+    """The floor's proof obligation (see ``ReconciliationProblem``): on every
+    lattice model M, an action sequence that runs in M from a state s runs
+    in the most relaxed model M_r from every superset of s, at no greater
+    cost, keeping M_r's state a superset of M's, and M_r's goal holds
+    wherever M's does.  So M's plans are plans of M_r, and the p2 and p4
+    floors lie below cost* and the plans' lengths of every solvable M."""
+    rng = random.Random(67)
+    runs = 0
+    for i in range(300):
+        make = random_reconciliation if i % 2 else constrained_reconciliation
+        problem = make(rng)
+        relaxed = problem._relaxed
+        relaxed_ops = {op[4]: op for op in relaxed.ops}
+        full = (1 << len(problem.human.facts)) - 1
+        c_min = problem._c_min(MetricKind.P2)
+        length_floor = problem._c_min(MetricKind.P4)
+        pool = sorted(problem.pool)
+        for r in range(len(pool) + 1):
+            for subset in itertools.combinations(pool, r):
+                model = subset_model(problem.human, subset)
+                if model is None:
+                    continue
+                state = compile_model(model)
+                sequences = [rng.choices([a.name for a in model.actions], k=6) for _ in range(3)]
+                starts = [rng.randrange(full + 1) for _ in sequences]
+                planned = uniform_cost_plan(model)
+                if planned is not None:
+                    cost, plan = planned
+                    assert c_min <= cost, (i, [c.render() for c in subset])
+                    for actions in (plan, problem.anchored_plan(model)):
+                        assert length_floor <= len(actions)
+                    sequences.append(plan)
+                    starts.append(state.init)
+                for actions, start in zip(sequences, starts):
+                    low, high = start, start | rng.randrange(full + 1)
+                    spent = relaxed_spent = 0
+                    ops = {op[4]: op for op in state.ops}
+                    for name in actions:
+                        pre, add, keep, cost, _ = ops[name]
+                        if low & pre != pre:
+                            break
+                        low = (low & keep) | add
+                        pre, add, keep, relaxed_cost, _ = relaxed_ops[name]
+                        assert high & pre == pre
+                        high = (high & keep) | add
+                        spent += cost
+                        relaxed_spent += relaxed_cost
+                        assert low & ~high == 0 and relaxed_spent <= spent
+                    if low & state.goal == state.goal:
+                        assert high & relaxed.goal == relaxed.goal
+                    runs += 1
+    assert runs > 0
+
+
 ROVER_P02_S7_CONCISE = [
     "add communicate_image_data-rover0-general-objective0-high_res-w1-w0"
     "-has-add-effect-communicated_image_data(objective0,high_res)",
@@ -244,10 +299,11 @@ def _record_nodes(monkeypatch) -> list:
 
 
 def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
-    """Every expanded node's h equals the h of its planned model, and every
-    node's info, generated or expanded, equals the planner's: cost*, the
-    anchored plan and the canonical plan, also where the search inferred
-    them without planning."""
+    """Every expanded node's h equals the h of its planned model, at the
+    floor c_min of the problem's most relaxed model, and every node's info,
+    generated or expanded, equals the planner's: cost*, the anchored plan
+    and the canonical plan, also where the search inferred them without
+    planning."""
     created = _record_nodes(monkeypatch)
     rng = random.Random(47)
     unplanned = 0
@@ -269,12 +325,15 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                         on_node=lambda model, h, seq: expanded.append((model, h, len(seq)))
                     ),
                 )
+                floored = metric in (MetricKind.P2, MetricKind.P4)
+                c_min = fresh._c_min(metric) if floored else 0
                 for model, h, size in expanded:
                     unplanned += compile_model(model) not in problem._plan_cache
                     cost, plan, _ = fresh._cost_and_plan(model)
                     remaining = len(problem._changes) - size
                     expected = heuristic(
-                        metric, variant, (cost, plan), (target.cost, target.actions), remaining
+                        metric, variant, (cost, plan), (target.cost, target.actions), remaining,
+                        c_min,
                     )
                     assert h == expected, (i, metric, variant)
                 for node in created:

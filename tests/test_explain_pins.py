@@ -1,10 +1,12 @@
 """Pinned explanation outputs on fixed instances.
 
-``explain_pins.json`` holds the sha256 of each trace's ``emit_json`` output
-with ``wall_time`` and ``planner_calls`` zeroed.  Every trace must stay
-byte-identical apart from those two fields.  ``planner_calls`` counts work,
-not explanation content, so it is pinned separately as an upper bound: a
-search may plan fewer models, never more.
+``explain_pins.json`` holds two parts for each trace.  ``sha256`` hashes
+its ``emit_json`` output with the work counters (``expansions``,
+``generated``, ``planner_calls``) and ``wall_time`` zeroed: the explanation's
+content, which must stay byte-identical.  The counters are recorded beside
+it and must match exactly too, so a search change that keeps the content but
+moves the work is re-recorded as counters alone, and the hashes show that the
+content did not move.
 
 Re-record (only when an output change is intended and explained)::
 
@@ -70,10 +72,13 @@ def _digest(trace) -> str:
     return hashlib.sha256(emit_json(trace).encode()).hexdigest()
 
 
+COUNTERS = ("expansions", "generated", "planner_calls")
+
+
 def _pin(trace) -> dict:
-    calls = trace.planner_calls
-    trace = dataclasses.replace(trace, wall_time=0.0, planner_calls=0)
-    return {"sha256": _digest(trace), "max_planner_calls": calls}
+    counters = {name: getattr(trace, name) for name in COUNTERS}
+    content = dataclasses.replace(trace, wall_time=0.0, **dict.fromkeys(COUNTERS, 0))
+    return {"sha256": _digest(content), **counters}
 
 
 def compute(group: str) -> dict[str, dict]:
@@ -96,12 +101,13 @@ def test_explanations_match_pins(group):
     assert sorted(got) == sorted(pinned)
     changed = [k for k in got if got[k]["sha256"] != pinned[k]["sha256"]]
     assert not changed, f"{len(changed)} traces changed, first: {changed[:3]}"
-    more_calls = [
-        (k, got[k]["max_planner_calls"], pinned[k]["max_planner_calls"])
+    moved = [
+        (k, name, got[k][name], pinned[k][name])
         for k in got
-        if got[k]["max_planner_calls"] > pinned[k]["max_planner_calls"]
+        for name in COUNTERS
+        if got[k][name] != pinned[k][name]
     ]
-    assert not more_calls, f"searches planned more models than pinned: {more_calls[:3]}"
+    assert not moved, f"{len(moved)} work counters moved, first: {moved[:3]}"
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Step-effort metrics and search-heuristic tests."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import inf
@@ -16,6 +17,7 @@ from pegplan import (
     plan_edit_distance,
     rho,
 )
+from pegplan.metrics import balanced_bound
 
 from oracles import levenshtein_recursive, random_action_sequence, random_reconciliation
 
@@ -124,9 +126,14 @@ class TestHeuristic:
         c = node(cur_cost=4, target_cost=10)
         assert heuristic(MetricKind.P2, "paper", *c, 5) == Fraction(36, 2)
 
-    def test_squared_metric_safe_variant_divides_by_remaining(self):
+    def test_squared_metric_safe_variant_is_the_balanced_bound(self):
+        # a gap of 6 in at most 4 integer steps: 2 + 2 + 1 + 1 at best
         c = node(cur_cost=4, target_cost=10)
-        assert heuristic(MetricKind.P2, "safe", *c, 4) == Fraction(36, 4)
+        assert heuristic(MetricKind.P2, "safe", *c, 4) == Fraction(4 + 4 + 1 + 1)
+        assert heuristic(MetricKind.P2, "safe", *c, 3) == Fraction(3 * 4)
+        assert heuristic(MetricKind.P2, "safe", *c, 9) == Fraction(6)  # six unit steps
+        p = node(cur_plan=("a",), target_plan=("b", "c", "d", "e"))  # edit distance 4
+        assert heuristic(MetricKind.P4, "safe", *p, 3) == Fraction(4 + 1 + 1)
 
     def test_gap_with_no_remaining_changes_is_dead_end(self):
         c = node(cur_cost=4, target_cost=10)
@@ -136,11 +143,79 @@ class TestHeuristic:
         c = node(cur_cost=0, target_cost=7)
         value = heuristic(MetricKind.P2, "safe", *c, 3)
         assert isinstance(value, Fraction)
-        assert value == Fraction(49, 3)
+        assert value == Fraction(9 + 4 + 4)  # 3 + 2 + 2
+        assert heuristic(MetricKind.P2, "paper", *c, 3) == Fraction(49, 2)
+
+    def test_floor_raises_a_node_at_value_zero_only(self):
+        # unsolvable (cost 0), target 11, floor 4, one change left after the
+        # next: the next solvable model costs c >= 4, then one step to 11
+        unsolvable = node(cur_cost=0, target_cost=11)
+        expected = min(c * c + (11 - c) ** 2 for c in range(4, 12))
+        assert heuristic(MetricKind.P2, "safe", *unsolvable, 2, 4) == Fraction(expected)
+        assert heuristic(MetricKind.P2, "safe", *unsolvable, 2) == Fraction(36 + 25)
+        solvable = node(cur_cost=3, target_cost=11)
+        assert heuristic(MetricKind.P2, "safe", *solvable, 2, 4) == Fraction(16 + 16)
+        assert heuristic(MetricKind.P2, "paper", *unsolvable, 2, 4) == Fraction(121, 2)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             heuristic(MetricKind.P1, "fast", *node(), 1)
+
+
+def _least_sum_of_squares(gap: int, moves: int) -> int | float:
+    """Brute force: the least sum of squares of ``moves`` integers (a zero
+    is a step not taken, and a negative one overshoots) that add up to ``gap``."""
+    sums = [
+        sum(d * d for d in split)
+        for split in itertools.combinations_with_replacement(range(-1, gap + 2), moves)
+        if sum(split) == gap
+    ]
+    return min(sums, default=inf)
+
+
+class TestBalancedBound:
+    def test_equals_the_brute_force_minimum(self):
+        for gap in range(16):
+            for moves in range(7):
+                assert balanced_bound(gap, moves) == _least_sum_of_squares(gap, moves), (gap, moves)
+
+    def test_safe_p2_is_consistent_on_every_edge(self):
+        """h(parent) <= step effort + h(child) for every p2 edge between
+        solvable nodes (cost >= the floor) and unsolvable ones (cost 0), each
+        step spending one remaining change, and h is 0 at the target."""
+        for target in range(13):
+            for c_min in range(14):
+                solvable = range(c_min, target + 6)
+                values = sorted({0, *solvable})
+                h = {
+                    (v, k): heuristic(MetricKind.P2, "safe", (v, ()), (target, ()), k, c_min)
+                    for v in values
+                    for k in range(8)
+                }
+                for k in range(8):
+                    if target >= c_min:
+                        assert h[target, k] == 0
+                for k in range(1, 8):
+                    for parent in values:
+                        for child in values:
+                            step = (parent - child) ** 2
+                            assert h[parent, k] <= step + h[child, k - 1], (
+                                target, c_min, k, parent, child,
+                            )
+
+    def test_safe_p4_is_consistent_on_random_plans(self):
+        rng = random.Random(19)
+        for _ in range(3000):
+            target = random_action_sequence(rng, "abc", 6)
+            parent = random_action_sequence(rng, "abc", 6)
+            child = random_action_sequence(rng, "abc", 6)
+            plans = [parent, child, target]
+            c_min = rng.randint(0, min(len(p) for p in plans if p) if any(plans) else 0)
+            k = rng.randint(1, 6)
+            step = plan_edit_distance(parent, child) ** 2
+            h_parent = heuristic(MetricKind.P4, "safe", (0, parent), (0, target), k, c_min)
+            h_child = heuristic(MetricKind.P4, "safe", (0, child), (0, target), k - 1, c_min)
+            assert h_parent <= step + h_child, (parent, child, target, c_min, k)
 
 
 class TestMetricMustBeAKind:
