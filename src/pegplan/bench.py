@@ -19,14 +19,12 @@ probe runs.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .explain import (
     DEFAULT_EPSILON,
@@ -67,23 +65,33 @@ MAX_SWEEP_PROBES = 1000
 _PERTURBABLE_KINDS = frozenset(FeatureKind) - {FeatureKind.COST}
 
 
-@dataclass(frozen=True)
-class PerturbSpec:
-    """How to derive a human model from a robot model."""
-
+class _PerturbFields(NamedTuple):
     missing_prob: float
     seed: int
     eligible_kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.missing_prob <= 1.0:
+
+class PerturbSpec(_PerturbFields):
+    """How to derive a human model from a robot model."""
+
+    __slots__ = ()
+
+    def __new__(cls, missing_prob: float, seed: int,
+                eligible_kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS) -> "PerturbSpec":
+        if not 0.0 <= missing_prob <= 1.0:
             raise ValueError("missing_prob must lie in [0, 1]")
-        if not self.eligible_kinds:
+        if not eligible_kinds:
             raise ValueError("eligible_kinds must be non-empty")
-        bad = self.eligible_kinds - _PERTURBABLE_KINDS
+        bad = eligible_kinds - _PERTURBABLE_KINDS
         if bad:
             names = ", ".join(sorted(k.value for k in bad))
             raise ValueError(f"kinds not eligible for perturbation: {names}")
+        return super().__new__(cls, missing_prob, seed, eligible_kinds)
+
+    @classmethod
+    def _make(cls, iterable) -> "PerturbSpec":
+        """``_replace`` builds through here, so it checks like the constructor."""
+        return cls(*iterable)
 
 
 def eligible_features(model: Model, kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS) -> list:
@@ -109,8 +117,7 @@ def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
     return model, len(removed), len(pool)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One perturb-and-compare run."""
 
     run_index: int
@@ -131,8 +138,7 @@ class RunRecord:
     failure: str = ""
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One probe of the missing-probability sweep."""
 
     missing_prob: float
@@ -149,8 +155,7 @@ class SweepRecord:
     failure: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A batch of runs plus configuration echo and column averages."""
 
     kind: str  # "comparison" | "sweep"
@@ -347,7 +352,7 @@ def emit_csv(obj: ExplanationTrace | Report) -> str:
         writer.writerows([step.index, step.cost_star, step.rho] for step in obj.steps)
         return out.getvalue()
     record_class = RunRecord if obj.kind == "comparison" else SweepRecord
-    header = [f.name for f in dataclasses.fields(record_class)]
+    header = record_class._fields
     writer.writerow(header)
     for rec in obj.records:
         writer.writerow([getattr(rec, col) for col in header])
@@ -366,14 +371,12 @@ def _jsonable(value):
         return {"direction": value.direction, "feature": value.feature.render()}
     if isinstance(value, frozenset):
         return sorted(_jsonable(v) for v in value)
+    if hasattr(value, "_fields"):  # a record: before the tuple it also is
+        return {name: _jsonable(getattr(value, name)) for name in value._fields}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)
-        }
     return value
 
 
@@ -384,5 +387,5 @@ def trace_to_dict(trace: ExplanationTrace) -> dict:
 
 
 def emit_json(obj: ExplanationTrace | Report) -> str:
-    """JSON mirroring the record dataclasses, snake_case keys."""
+    """JSON mirroring the records' fields, snake_case keys."""
     return json.dumps(_jsonable(obj), indent=2) + "\n"

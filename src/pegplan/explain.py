@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
 from math import inf, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .metrics import MetricKind, heuristic, rho
 from .model import (
@@ -352,8 +351,7 @@ def is_complete(problem: ReconciliationProblem, changes: Sequence[FeatureChange]
     return problem.is_complete_model(problem.apply_changes(changes))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """State after one change (index 0 is the unchanged human model)."""
 
     index: int
@@ -365,8 +363,7 @@ class StepRecord:
     rho: int
 
 
-@dataclass(frozen=True)
-class ExplanationTrace:
+class ExplanationTrace(NamedTuple):
     """An ordered explanation with its per-step records and search stats.
 
     ``expansions`` counts the nodes expanded.  ``generated`` counts the
@@ -403,8 +400,7 @@ class ExplanationTrace:
         return sum(rho(kind, prev, cur) for prev, cur in zip(pairs, pairs[1:]))
 
 
-@dataclass
-class SearchInstrument:
+class SearchInstrument(NamedTuple):
     """Optional probes into the progressive search, used by tests.
 
     ``on_node(model, h, seq)`` fires when a node is expanded, with ``seq``
@@ -416,8 +412,7 @@ class SearchInstrument:
     on_edge: Callable[[Fraction | float, int, Fraction | float], None] | None = None
 
 
-@dataclass(slots=True)
-class _Node:
+class _Node(NamedTuple):
     g: int  # scaled, as the A* keys are (see generate_progressive)
     idx_seq: tuple[int, ...]  # candidate positions along the path
     state: CompiledModel  # the subset's model

@@ -10,8 +10,8 @@ models can be diffed, edited, and reconciled one feature at a time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import total_ordering
 from typing import Iterable
 
 # The built-in sha256, imported as ``random`` imports its sha512: through
@@ -75,25 +75,63 @@ def _check_ident(text: str, what: str) -> str:
     return text
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Fact:
+class _Value:
+    """Base of the slotted, immutable model values.  Each names its
+    constructor's arguments in ``_fields``, the order ``repr`` shows them, and
+    spells out its own ``__eq__`` and ``__hash__``: generic ones over
+    ``_fields`` (by ``attrgetter``) made ``Fact ==`` about twice as slow."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, validated like a new value."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+@total_ordering
+class Fact(_Value):
     """A ground atom, rendered as ``name`` or ``name(arg1,arg2,...)``."""
 
-    name: str
-    args: tuple[str, ...] = ()
+    __slots__ = _fields = ("name", "args")
 
-    def __post_init__(self) -> None:
-        _check_ident(self.name, "fact name")
-        for a in self.args:
+    def __init__(self, name: str, args: tuple[str, ...] = ()) -> None:
+        _check_ident(name, "fact name")
+        for a in args:
             _check_ident(a, "fact argument")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) < (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.args))
 
     def render(self) -> str:
         if not self.args:
             return self.name
         return f"{self.name}({','.join(self.args)})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 # One empty fact set for every empty init, goal or action slot that an edit
@@ -117,68 +155,86 @@ def parse_fact(text: str) -> Fact:
     return Fact(m.group("name"), args)
 
 
-@dataclass(frozen=True, slots=True)
-class GroundAction:
+class GroundAction(_Value):
     """A ground action with disjoint add/delete effects and an integer cost."""
 
-    name: str
-    preconditions: frozenset[Fact]
-    add_effects: frozenset[Fact]
-    delete_effects: frozenset[Fact]
-    cost: int = 1
+    __slots__ = _fields = ("name", "preconditions", "add_effects", "delete_effects", "cost")
 
-    def __post_init__(self) -> None:
-        _check_ident(self.name, "action name")
-        if self.name in _RESERVED_NAMES:
-            raise ModelError(f"action name {self.name!r} is reserved")
-        if not isinstance(self.cost, int) or isinstance(self.cost, bool):
-            raise ModelError(f"action {self.name}: cost must be an int")
-        if self.cost < 0:
-            raise ModelError(f"action {self.name}: cost must be non-negative")
-        overlap = self.add_effects & self.delete_effects
+    def __init__(self, name: str, preconditions: frozenset[Fact], add_effects: frozenset[Fact],
+                 delete_effects: frozenset[Fact], cost: int = 1) -> None:
+        _check_ident(name, "action name")
+        if name in _RESERVED_NAMES:
+            raise ModelError(f"action name {name!r} is reserved")
+        if not isinstance(cost, int) or isinstance(cost, bool):
+            raise ModelError(f"action {name}: cost must be an int")
+        if cost < 0:
+            raise ModelError(f"action {name}: cost must be non-negative")
+        overlap = add_effects & delete_effects
         if overlap:
             names = ", ".join(sorted(f.render() for f in overlap))
-            raise ModelError(f"action {self.name}: add and delete effects overlap on {names}")
+            raise ModelError(f"action {name}: add and delete effects overlap on {names}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "preconditions", preconditions)
+        object.__setattr__(self, "add_effects", add_effects)
+        object.__setattr__(self, "delete_effects", delete_effects)
+        object.__setattr__(self, "cost", cost)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.preconditions, self.add_effects, self.delete_effects,
+                    self.cost) == (other.name, other.preconditions, other.add_effects,
+                                   other.delete_effects, other.cost)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.preconditions, self.add_effects, self.delete_effects,
+                     self.cost))
 
 
 def _as_fact_set(facts: Iterable[Fact]) -> frozenset[Fact]:
     return facts if isinstance(facts, frozenset) else frozenset(facts)
 
 
-@dataclass(frozen=True, slots=True)
-class Model:
+class Model(_Value):
     """A ground planning model: fact universe, actions, initial state, goal."""
 
-    facts: frozenset[Fact]
-    actions: tuple[GroundAction, ...]
-    init: frozenset[Fact]
-    goal: frozenset[Fact]
+    __slots__ = _fields = ("facts", "actions", "init", "goal")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", _as_fact_set(self.facts))
-        object.__setattr__(self, "init", _as_fact_set(self.init))
-        object.__setattr__(self, "goal", _as_fact_set(self.goal))
-        object.__setattr__(
-            self, "actions", tuple(sorted(self.actions, key=lambda a: a.name))
-        )
-        names = [a.name for a in self.actions]
+    def __init__(self, facts: Iterable[Fact], actions: Iterable[GroundAction],
+                 init: Iterable[Fact], goal: Iterable[Fact]) -> None:
+        facts, init, goal = _as_fact_set(facts), _as_fact_set(init), _as_fact_set(goal)
+        actions = tuple(sorted(actions, key=lambda a: a.name))
+        names = [a.name for a in actions]
         if len(set(names)) != len(names):
             raise ModelError("duplicate action names in model")
-        for label, facts in (("init", self.init), ("goal", self.goal)):
-            missing = facts - self.facts
+        for label, subset in (("init", init), ("goal", goal)):
+            missing = subset - facts
             if missing:
                 raise ModelError(
                     f"{label} references facts outside the universe: "
                     + ", ".join(sorted(f.render() for f in missing))
                 )
-        for act in self.actions:
+        for act in actions:
             referenced = act.preconditions | act.add_effects | act.delete_effects
-            missing = referenced - self.facts
+            missing = referenced - facts
             if missing:
                 raise ModelError(
                     f"action {act.name} references facts outside the universe: "
                     + ", ".join(sorted(f.render() for f in missing))
                 )
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "goal", goal)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.facts, self.actions, self.init, self.goal) == (
+                other.facts, other.actions, other.init, other.goal)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.facts, self.actions, self.init, self.goal))
 
     def action(self, name: str) -> GroundAction:
         for act in self.actions:
@@ -259,41 +315,53 @@ def _feature_strings(model: Model) -> Iterable[str]:
         yield _feature_string(FeatureKind.COST, act.name, act.cost)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Feature:
-    """One atomic statement about a model, identified by its rendered string."""
+@total_ordering
+class Feature(_Value):
+    """One atomic statement about a model, identified (compared, ordered and
+    hashed) by its rendered string, ``sort_index``."""
 
-    sort_index: str = field(init=False, repr=False, compare=True)
-    kind: FeatureKind = field(compare=False)
-    owner: str | None = field(default=None, compare=False)
-    fact: Fact | None = field(default=None, compare=False)
-    cost: int | None = field(default=None, compare=False)
+    _fields = ("kind", "owner", "fact", "cost")
+    __slots__ = ("sort_index",) + _fields
 
-    def __post_init__(self) -> None:
-        if self.kind in (FeatureKind.INIT, FeatureKind.GOAL):
-            if self.owner is not None or self.fact is None or self.cost is not None:
-                raise ModelError(f"{self.kind.value} features carry a fact and nothing else")
-        elif self.kind is FeatureKind.COST:
-            if self.owner is None or self.fact is not None or self.cost is None:
+    def __init__(self, kind: FeatureKind, owner: str | None = None, fact: Fact | None = None,
+                 cost: int | None = None) -> None:
+        if kind in (FeatureKind.INIT, FeatureKind.GOAL):
+            if owner is not None or fact is None or cost is not None:
+                raise ModelError(f"{kind.value} features carry a fact and nothing else")
+        elif kind is FeatureKind.COST:
+            if owner is None or fact is not None or cost is None:
                 raise ModelError("cost features carry an owner and an integer cost")
-            _check_ident(self.owner, "action name")
-            if not isinstance(self.cost, int) or isinstance(self.cost, bool) or self.cost < 0:
+            _check_ident(owner, "action name")
+            if not isinstance(cost, int) or isinstance(cost, bool) or cost < 0:
                 raise ModelError("cost features carry a non-negative integer")
         else:
-            if self.owner is None or self.fact is None or self.cost is not None:
-                raise ModelError(f"{self.kind.value} features carry an owner and a fact")
-            _check_ident(self.owner, "action name")
-        object.__setattr__(self, "sort_index", self._render())
+            if owner is None or fact is None or cost is not None:
+                raise ModelError(f"{kind.value} features carry an owner and a fact")
+            _check_ident(owner, "action name")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "fact", fact)
+        object.__setattr__(self, "cost", cost)
+        value = cost if kind is FeatureKind.COST else fact.render()
+        object.__setattr__(self, "sort_index", _feature_string(kind, owner, value))
 
-    def _render(self) -> str:
-        value = self.cost if self.kind is FeatureKind.COST else self.fact.render()
-        return _feature_string(self.kind, self.owner, value)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sort_index,) == (other.sort_index,)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sort_index,) < (other.sort_index,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sort_index,))
 
     def render(self) -> str:
         return self.sort_index
 
-    def __str__(self) -> str:
-        return self.sort_index
+    __str__ = render
 
 
 def parse_feature(text: str) -> Feature:
@@ -319,8 +387,8 @@ def parse_feature(text: str) -> Feature:
     raise ModelError(f"cannot parse feature {text!r}: unknown feature kind")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class FeatureChange:
+@total_ordering
+class FeatureChange(_Value):
     """One unit edit: add or remove a feature.
 
     Adding a cost feature replaces the action's current cost (each action
@@ -328,18 +396,31 @@ class FeatureChange:
     removing a cost feature is never valid.
     """
 
-    direction: str  # "add" | "remove"
-    feature: Feature
+    __slots__ = _fields = ("direction", "feature")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("add", "remove"):
-            raise ModelError(f"invalid change direction {self.direction!r}")
+    def __init__(self, direction: str, feature: Feature) -> None:
+        if direction not in ("add", "remove"):
+            raise ModelError(f"invalid change direction {direction!r}")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "feature", feature)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.direction, self.feature) == (other.direction, other.feature)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.direction, self.feature) < (other.direction, other.feature)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.feature))
 
     def render(self) -> str:
         return f"{self.direction} {self.feature.render()}"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def parse_change(text: str) -> FeatureChange:
@@ -494,7 +575,7 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
         if feat.kind is FeatureKind.COST:
             if act.cost == feat.cost:
                 raise ChangePreconditionError(f"{feat.render()} is already present")
-            return model.replace_action(replace(act, cost=feat.cost))
+            return model.replace_action(act._replace(cost=feat.cost))
         current = getattr(act, _ACTION_SLOTS[feat.kind])
     if adding and feat.fact in current:
         raise ChangePreconditionError(f"{feat.render()} is already present")
@@ -507,7 +588,7 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
     if feat.kind is FeatureKind.GOAL:
         return Model(model.facts, model.actions, model.init, updated)
     try:
-        new_act = replace(act, **{_ACTION_SLOTS[feat.kind]: updated})
+        new_act = act._replace(**{_ACTION_SLOTS[feat.kind]: updated})
     except ModelError as exc:
         raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
     return model.replace_action(new_act)

@@ -10,9 +10,8 @@ values.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError
 
@@ -56,8 +55,7 @@ class GroundingError(Exception):
 # S-expression layer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -189,20 +187,17 @@ def _parse_typed_list(items: list[_Sexp], what: str) -> list[tuple[str, str]]:
 # Domain / problem ASTs
 
 
-@dataclass(frozen=True)
-class LiftedAtom:
+class LiftedAtom(NamedTuple):
     name: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
+class PredicateDecl(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]
     preconditions: tuple[LiftedAtom, ...]
@@ -211,8 +206,7 @@ class ActionSchema:
     cost: int | None = None
 
 
-@dataclass(frozen=True)
-class DomainAst:
+class DomainAst(NamedTuple):
     name: str
     requirements: tuple[str, ...]
     types: tuple[str, ...]
@@ -221,8 +215,7 @@ class DomainAst:
     has_total_cost: bool = False
 
 
-@dataclass(frozen=True)
-class ProblemAst:
+class ProblemAst(NamedTuple):
     name: str
     domain: str
     objects: tuple[tuple[str, str], ...]
@@ -531,8 +524,7 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
 # Native fixture format
 
 
-@dataclass(frozen=True)
-class FixtureAction:
+class FixtureAction(NamedTuple):
     """An action as written in a fixture, before cost-variant splitting."""
 
     name: str
@@ -544,8 +536,7 @@ class FixtureAction:
     delete_effects: tuple[Fact, ...]
 
 
-@dataclass(frozen=True)
-class FixtureModel:
+class FixtureModel(NamedTuple):
     name: str
     init: tuple[Fact, ...]
     goal: tuple[Fact, ...]

@@ -40,7 +40,6 @@ plan, and then derives every lattice node with one edit; the planner and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Iterable, NamedTuple, Sequence
 
@@ -69,16 +68,14 @@ class BudgetExceededError(PlanningError):
     """A search exceeded its node budget; distinct from unsolvability."""
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """An action-name sequence with its total cost in the source model."""
 
     actions: tuple[str, ...]
     cost: int
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     """Outcome of an optimal-plan search, with search statistics."""
 
     solvable: bool

@@ -43,6 +43,15 @@ class TestPerturbSpec:
         spec = PerturbSpec(0.1, 0, frozenset({FeatureKind.INIT, FeatureKind.GOAL}))
         assert FeatureKind.INIT in spec.eligible_kinds
 
+    def test_replace_checks_like_the_constructor(self):
+        spec = PerturbSpec(0.1, 0)
+        assert spec._replace(seed=3) == PerturbSpec(0.1, 3)
+        assert type(spec._replace(seed=3)) is PerturbSpec
+        with pytest.raises(ValueError, match="missing_prob"):
+            spec._replace(missing_prob=1.5)
+        with pytest.raises(ValueError, match="not eligible"):
+            spec._replace(eligible_kinds=frozenset({FeatureKind.COST}))
+
 
 class TestEligibleFeatures:
     def test_default_pool_has_only_action_structure(self, errand_pair):

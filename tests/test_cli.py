@@ -353,3 +353,21 @@ def test_python_m_prints_usage(module, subcommand):
     result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: ")
+
+
+def test_import_loads_no_dataclasses():
+    """``import pegplan`` stays off ``dataclasses``, and so off the ``inspect``,
+    ``ast``, ``dis`` and ``tokenize`` it imports: every command pays its import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import pegplan\n"
+        "print(before, 'dataclasses' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False False\n"

@@ -15,7 +15,6 @@ Re-record (only when an output change is intended and explained)::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -77,7 +76,7 @@ COUNTERS = ("expansions", "generated", "planner_calls")
 
 def _pin(trace) -> dict:
     counters = {name: getattr(trace, name) for name in COUNTERS}
-    content = dataclasses.replace(trace, wall_time=0.0, **dict.fromkeys(COUNTERS, 0))
+    content = trace._replace(wall_time=0.0, **dict.fromkeys(COUNTERS, 0))
     return {"sha256": _digest(content), **counters}
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the feature calculus: facts, features, diffs, edits."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from pegplan import (
     reconstruct,
 )
 from pegplan.model import _NO_FACTS, Feature
+from pegplan.pddl import LiftedAtom
 
 from oracles import gamma_delta, gamma_digest, random_edit_chain, random_model
 
@@ -123,6 +126,141 @@ class TestActionsAndModels:
         grown = m.with_facts([r, P])
         assert grown.facts == m.facts | {r}
         assert (grown.actions, grown.init, grown.goal) == (m.actions, m.init, m.goal)
+
+
+def value_pairs() -> dict:
+    """Two separately built, equal instances of each model value class."""
+
+    def build():
+        at = Fact("at", ("rover0", "w1"))
+        feature = Feature(FeatureKind.PRECONDITION, owner="go", fact=at)
+        return {
+            "Fact": at,
+            "GroundAction": GroundAction("go", frozenset({P}), frozenset({G}), frozenset({Q}), 3),
+            "Model": tiny_model(),
+            "Feature": feature,
+            "FeatureChange": FeatureChange("remove", feature),
+        }
+
+    first, second = build(), build()
+    return {name: (first[name], second[name]) for name in first}
+
+
+VALUES = sorted(value_pairs())
+
+
+class TestValueSemantics:
+    """The model values are immutable, slotted, type-strict values."""
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equal_values_hash_equal(self, name):
+        a, b = value_pairs()[name]
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_equality_is_type_strict(self, name):
+        value, _ = value_pairs()[name]
+        as_tuple = tuple(getattr(value, field) for field in value._fields)
+        assert value != as_tuple and as_tuple != value
+        assert not isinstance(value, tuple)
+
+    def test_fact_differs_from_tuple_and_lifted_atom(self):
+        assert Fact("p") != ("p", ())
+        assert Fact("p") != LiftedAtom("p", ())
+        assert LiftedAtom("p", ()) != Fact("p")
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        value, twin = value_pairs()[name]
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == twin
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_no_instance_dict(self, name):
+        value, _ = value_pairs()[name]
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_copy_and_pickle_round_trip(self, name):
+        value, _ = value_pairs()[name]
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and type(clone) is type(value)
+
+    def test_sorted_orders_facts_by_name_then_args(self):
+        facts = [Fact("b"), Fact("a", ("z",)), Fact("a"), Fact("a", ("y", "x")), Fact("a", ("y",))]
+        assert [f.render() for f in sorted(facts)] == ["a", "a(y)", "a(y,x)", "a(z)", "b"]
+
+    @pytest.mark.parametrize("name", ["Fact", "Feature", "FeatureChange"])
+    def test_every_comparison_operator_orders(self, name):
+        value, twin = value_pairs()[name]
+        assert value <= twin and value >= twin and not value < twin and not value > twin
+        with pytest.raises(TypeError):
+            value < tuple(getattr(value, field) for field in value._fields)
+
+    def test_sorted_orders_features_by_rendered_string(self):
+        features = [
+            Feature(FeatureKind.INIT, fact=Fact("z")),
+            Feature(FeatureKind.GOAL, fact=Fact("a")),
+            Feature(FeatureKind.COST, owner="go", cost=10),
+            Feature(FeatureKind.COST, owner="go", cost=9),
+            Feature(FeatureKind.ADD_EFFECT, owner="go", fact=P),
+            Feature(FeatureKind.PRECONDITION, owner="a", fact=P),
+        ]
+        assert [f.render() for f in sorted(features)] == sorted(f.render() for f in features)
+        assert [f.render() for f in sorted(features)] == [
+            "a-has-precondition-p", "go-has-add-effect-p", "go-has-cost-10",
+            "go-has-cost-9", "goal-has-a", "init-has-z",
+        ]
+        changes = [FeatureChange(d, f) for d in ("remove", "add") for f in features[:3]]
+        assert [c.render() for c in sorted(changes)] == [
+            "add go-has-cost-10", "add goal-has-a", "add init-has-z",
+            "remove go-has-cost-10", "remove goal-has-a", "remove init-has-z",
+        ]
+
+    def test_repr_strings(self):
+        at = Fact("at", ("r", "w1"))
+        feature = Feature(FeatureKind.PRECONDITION, owner="go", fact=at)
+        go = GroundAction("go", frozenset(), frozenset({P}), frozenset())
+        assert repr(at) == "Fact(name='at', args=('r', 'w1'))"
+        assert repr(GroundAction("go", frozenset({P}), frozenset(), frozenset(), 2)) == (
+            "GroundAction(name='go', preconditions=frozenset({Fact(name='p', args=())}), "
+            "add_effects=frozenset(), delete_effects=frozenset(), cost=2)"
+        )
+        assert repr(Model(frozenset({P}), (go,), frozenset(), frozenset({P}))) == (
+            "Model(facts=frozenset({Fact(name='p', args=())}), actions=(GroundAction("
+            "name='go', preconditions=frozenset(), add_effects=frozenset({Fact(name='p', "
+            "args=())}), delete_effects=frozenset(), cost=1),), init=frozenset(), "
+            "goal=frozenset({Fact(name='p', args=())}))"
+        )
+        assert repr(feature) == (
+            "Feature(kind=<FeatureKind.PRECONDITION: 'precondition'>, owner='go', "
+            "fact=Fact(name='at', args=('r', 'w1')), cost=None)"
+        )
+        assert repr(Feature(FeatureKind.COST, owner="go", cost=2)) == (
+            "Feature(kind=<FeatureKind.COST: 'cost'>, owner='go', fact=None, cost=2)"
+        )
+        assert repr(FeatureChange("remove", feature)) == (
+            "FeatureChange(direction='remove', feature=" + repr(feature) + ")"
+        )
+
+    def test_replace_revalidates(self):
+        act = tiny_model().action("go")
+        assert act._replace(cost=5) == GroundAction("go", act.preconditions, act.add_effects,
+                                                   act.delete_effects, 5)
+        with pytest.raises(ModelError, match="overlap"):
+            act._replace(add_effects=act.delete_effects)
+        with pytest.raises(ModelError):
+            act._replace(cost=-1)
+        with pytest.raises(TypeError):
+            act._replace(colour="red")
 
 
 class TestFeatureGrammar:

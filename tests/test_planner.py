@@ -6,7 +6,6 @@ explained)::
     PYTHONPATH=src python tests/test_planner.py --record
 """
 
-import dataclasses
 import json
 import random
 import sys
@@ -222,8 +221,8 @@ class TestPinnedSearch:
 
 def with_cost(model: Model, cost: int) -> Model:
     """The model with every action's cost set to ``cost``."""
-    actions = tuple(dataclasses.replace(a, cost=cost) for a in model.actions)
-    return dataclasses.replace(model, actions=actions)
+    actions = tuple(a._replace(cost=cost) for a in model.actions)
+    return model._replace(actions=actions)
 
 
 def budget_outcome(search, compiled, node_budget):
@@ -347,7 +346,7 @@ class TestPlanCostOracle:
             plan = random_action_sequence(rng, names)
             got = self.assert_agrees(plan, model)
             # the same model without a goal fails only on preconditions
-            goal_free = dataclasses.replace(model, goal=frozenset())
+            goal_free = model._replace(goal=frozenset())
             if got == "unknown":
                 seen["unknown"] += 1
             elif got is not None:

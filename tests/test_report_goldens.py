@@ -12,7 +12,6 @@ Re-record (only when an output change is intended and explained)::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,14 +56,11 @@ def _reports(robot):
 
 def _zero_wall_times(report):
     records = tuple(
-        dataclasses.replace(
-            rec,
-            **{f.name: 0.0 for f in dataclasses.fields(rec) if f.name.endswith("wall_time")},
-        )
+        rec._replace(**{name: 0.0 for name in rec._fields if name.endswith("wall_time")})
         for rec in report.records
     )
     averages = {k: 0.0 if k.endswith("wall_time") else v for k, v in report.averages.items()}
-    return dataclasses.replace(report, records=records, averages=averages)
+    return report._replace(records=records, averages=averages)
 
 
 def compute() -> dict[str, dict[str, str]]:
