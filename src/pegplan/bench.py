@@ -34,7 +34,7 @@ from .explain import (
     generate_progressive,
 )
 from .metrics import MetricKind
-from .model import FeatureChange, FeatureKind, Model, apply_change, gamma
+from .model import FeatureChange, FeatureKind, Model, _feature, _features, apply_change
 from .planner import BudgetExceededError
 
 __all__ = [
@@ -96,9 +96,8 @@ class PerturbSpec(_PerturbFields):
 
 def eligible_features(model: Model, kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS) -> list:
     """The perturbation pool: eligible features in sorted render order."""
-    return sorted(
-        (f for f in gamma(model) if f.kind in kinds), key=lambda f: f.render()
-    )
+    eligible = (_feature(*feature) for feature in _features(model) if feature[0] in kinds)
+    return sorted(eligible, key=lambda f: f.render())
 
 
 def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:

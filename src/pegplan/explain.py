@@ -30,8 +30,8 @@ from .model import (
     apply_change,
     delta,
 )
-from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit
-from .planner import compile_edits, compile_model, envelope, inert_edits, optimal_plan, plan_cost
+from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit, envelope
+from .planner import compile_edits, compile_model, fact_bits, inert_edits, optimal_plan, plan_cost
 
 __all__ = [
     "ReconciliationError",
@@ -61,10 +61,12 @@ class ReconciliationProblem:
 
     The robot plan must be optimal in the robot model.  Fact universes of
     the two models are merged so that any feature of one can be applied to
-    the other; action-name universes must already agree.  Planner calls are
-    memoized per compiled model (see :mod:`~pegplan.planner`) so repeated
-    searches over the same problem share work.  The per-model queries take
-    a :class:`Model` or its :class:`~pegplan.planner.CompiledModel`.
+    the other; action-name universes must already agree.  Every model,
+    edit and query of the problem compiles against one fact encoding of
+    that universe.  Planner calls are memoized per compiled model (see
+    :mod:`~pegplan.planner`) so repeated searches over the same problem
+    share work.  The per-model queries take a :class:`Model` over the
+    universe or its :class:`~pegplan.planner.CompiledModel`.
 
     ``pool`` is the whole human/robot difference, but the searches run over
     its *relevant* changes only: those that
@@ -146,8 +148,9 @@ class ReconciliationProblem:
         self.node_budget = node_budget
         self._plan_cache: dict[CompiledModel, PlanResult] = {}
         self._witnesses: list[tuple[str, ...]] = []
+        self._bits = fact_bits(universe)
 
-        robot_state = compile_model(self.robot)
+        robot_state = self._compile(self.robot)
         robot_result = self.plan_result(robot_state)
         if not robot_result.solvable:
             raise ReconciliationError("the robot model is unsolvable")
@@ -156,7 +159,7 @@ class ReconciliationProblem:
             self.robot_plan = optimum
         else:
             actions = robot_plan.actions if isinstance(robot_plan, Plan) else tuple(robot_plan)
-            cost = plan_cost(actions, self.robot)
+            cost = plan_cost(actions, robot_state)
             if cost is None:
                 raise ReconciliationError("the robot plan is infeasible in the robot model")
             if cost != optimum.cost:
@@ -170,9 +173,9 @@ class ReconciliationProblem:
         # the edits of its changes applied.  Search nodes are bitmasks over
         # the relevant changes in render order, so heap tie-breaks compare
         # change indices where they would compare strings.
-        self._human_state = compile_model(self.human)
+        self._human_state = self._compile(self.human)
         changes = sorted(self.pool)
-        edits = compile_edits(self.human, changes)
+        edits = compile_edits(self.human, changes, self._bits)
         self._relaxed, constrained = envelope(self._human_state, robot_state)
         self._relaxed_cost: int | None = None  # cost*(M_r), planned on first use
         inert = inert_edits(constrained, edits)
@@ -196,8 +199,12 @@ class ReconciliationProblem:
 
     # -- memoized per-model queries ------------------------------------
 
+    def _compile(self, model: Model | CompiledModel) -> CompiledModel:
+        """``model`` in the problem's fact encoding; a compiled model as is."""
+        return compile_model(model, self._bits)
+
     def plan_result(self, model: Model | CompiledModel) -> PlanResult:
-        state = compile_model(model)
+        state = self._compile(model)
         result = self._plan_cache.get(state)
         if result is None:
             result = optimal_plan(state, node_budget=self.node_budget)
@@ -226,7 +233,7 @@ class ReconciliationProblem:
     ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
         """cost*(model), 0 when unsolvable, the anchored plan, and the
         canonical plan (None when unsolvable)."""
-        state = compile_model(model)
+        state = self._compile(model)
         result = self.plan_result(state)
         if not result.solvable:
             return 0, (), None
@@ -252,7 +259,7 @@ class ReconciliationProblem:
 
     def cost_gap(self, model: Model | CompiledModel) -> float | int:
         """cost(robot plan, model) - cost*(model); inf when infeasible."""
-        state = compile_model(model)
+        state = self._compile(model)
         target = self.target_plan_cost(state)
         if target is None:
             return inf
@@ -271,7 +278,7 @@ class ReconciliationProblem:
         than the target becomes a witness; the list is kept most recently
         useful first.
         """
-        state = compile_model(model)
+        state = self._compile(model)
         target = self.target_plan_cost(state)
         if target is None or target != self.robot_plan.cost:
             return False
@@ -329,19 +336,16 @@ def is_explanation(
 ) -> bool:
     """Do the changes strictly shrink the human's cost gap using only true content?
 
-    Checks that every added feature is part of the robot model, that every
-    removed feature is absent from it, and that the gap between the robot
-    plan's cost and the optimal cost strictly decreases.
+    Checks that every added feature is part of the robot model and every
+    removed one absent from it (g_u - g_h ⊆ g_r and g_h - g_u ⊆ g_h - g_r
+    over :func:`~pegplan.model.gamma`), and that the gap between the robot
+    plan's cost and the optimal cost strictly decreases.  The first check
+    is ``delta(human, updated) <= pool``: an add or remove is a pool change
+    exactly when the robot has or lacks its feature, and a cost add exactly
+    when the robot's cost is the new one, so the old one is not the robot's.
     """
-    from .model import gamma
-
     updated = problem.apply_changes(changes)
-    g_h = gamma(problem.human)
-    g_r = gamma(problem.robot)
-    g_u = gamma(updated)
-    if not (g_u - g_h) <= g_r:
-        return False
-    if not (g_h - g_u) <= (g_h - g_r):
+    if not delta(problem.human, updated) <= problem.pool:
         return False
     return problem.cost_gap(updated) < problem.cost_gap(problem.human)
 
@@ -441,35 +445,32 @@ def _build_trace(
     metric: MetricKind,
     variant: str,
     epsilon: Fraction,
-    seq: tuple[FeatureChange, ...],
+    seq: tuple[int, ...],
     expansions: int,
     generated: int,
     start_time: float,
 ) -> ExplanationTrace:
+    """The trace of ``seq``, valid relevant-change indices.  Each step's
+    state is the previous one's with one edit; its :class:`Model`, built by
+    :func:`~pegplan.model.apply_change`, serves only the ``model_digest``."""
+    changes = tuple(problem._changes[i] for i in seq)
+    model, state = problem.human, problem._human_state
     steps: list[StepRecord] = []
-    model = problem.human
-    state = problem._human_state
     prev = None
-    total = 0
-    for index in range(len(seq) + 1):
-        if index > 0:
-            model = apply_change(model, seq[index - 1])
-            state = compile_model(model)
+    for index, change in enumerate((None,) + changes):
+        if index:
+            model = apply_change(model, change)
+            state = apply_edit(state, problem._edits[seq[index - 1]])
         cost_star, plan, optimum = problem._cost_and_plan(state)
-        if index == 0:
-            step_rho = 0
-        else:
-            step_rho = rho(metric, prev, (cost_star, plan))
-            total += step_rho
         steps.append(
             StepRecord(
                 index=index,
-                change=seq[index - 1] if index > 0 else None,
+                change=change,
                 model_digest=model.digest(),
                 solvable=optimum is not None,
                 cost_star=cost_star,
                 plan=plan,
-                rho=step_rho,
+                rho=rho(metric, prev, (cost_star, plan)) if index else 0,
             )
         )
         prev = cost_star, plan
@@ -478,9 +479,9 @@ def _build_trace(
         metric=metric,
         variant=variant,
         epsilon=epsilon,
-        changes=seq,
+        changes=changes,
         steps=tuple(steps),
-        sum_rho=total,
+        sum_rho=sum(step.rho for step in steps),
         complete=problem.is_complete_model(state),
         expansions=expansions,
         generated=generated,
@@ -625,8 +626,7 @@ def generate_progressive(
             on_node(problem.apply_changes(path), node.h, path)
         if node.info[0] == target_cost == problem.target_plan_cost(node.state):
             return _build_trace(
-                problem, "peg", metric, variant, epsilon,
-                tuple(changes[i] for i in seq), expansions, generated, start,
+                problem, "peg", metric, variant, epsilon, seq, expansions, generated, start
             )
         order = problem._raising_first if node.info[0] <= target_cost else problem._feature_order
         remaining = [i for i in order if not mask >> i & 1]
@@ -717,8 +717,8 @@ def generate_concise(
             raise BudgetExceededError(f"concise search exceeded the node budget of {node_budget}")
         if problem.is_complete_model(state):
             return _build_trace(
-                problem, "concise", metric, "safe", Fraction(0),
-                tuple(problem._changes[i] for i in seq), expansions, generated, start,
+                problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated,
+                start,
             )
         for i in range(len(edits)):
             child_mask = mask | 1 << i

@@ -267,7 +267,7 @@ class Model(_Value):
         newlines.  The strings are rendered directly, with no
         :class:`Feature` built.
         """
-        text = "\n".join(sorted(_feature_strings(self)))
+        text = "\n".join(sorted(_feature_string(*feature) for feature in _features(self)))
         return sha256(text.encode()).hexdigest()[:12]
 
 
@@ -292,7 +292,8 @@ _ACTION_SLOTS = {
 
 
 def _feature_string(kind: FeatureKind, owner: str | None, value: object) -> str:
-    """The feature grammar: ``value`` is the rendered fact, or the cost.
+    """The feature grammar: ``value`` is the fact (formatted as rendered), or
+    the cost.
 
     Init and goal features have no owner: ``init-has-<fact>``.  An action's
     features name it and their kind: ``<action>-has-precondition-<fact>``,
@@ -303,16 +304,17 @@ def _feature_string(kind: FeatureKind, owner: str | None, value: object) -> str:
     return f"{owner}-has-{kind.value}-{value}"
 
 
-def _feature_strings(model: Model) -> Iterable[str]:
-    """The rendered string of each feature in ``gamma(model)``, built without it."""
+def _features(model: Model) -> Iterable[tuple[FeatureKind, str | None, object]]:
+    """Each feature of ``model`` as (kind, owner, value), with no
+    :class:`Feature` built: ``value`` is the fact, or the action's cost."""
     for kind, facts in ((FeatureKind.INIT, model.init), (FeatureKind.GOAL, model.goal)):
         for fact in facts:
-            yield _feature_string(kind, None, fact.render())
+            yield kind, None, fact
     for act in model.actions:
         for kind, slot in _ACTION_SLOTS.items():
             for fact in getattr(act, slot):
-                yield _feature_string(kind, act.name, fact.render())
-        yield _feature_string(FeatureKind.COST, act.name, act.cost)
+                yield kind, act.name, fact
+        yield FeatureKind.COST, act.name, act.cost
 
 
 @total_ordering
@@ -431,22 +433,16 @@ def parse_change(text: str) -> FeatureChange:
     return FeatureChange(parts[0], parse_feature(parts[1]))
 
 
+def _feature(kind: FeatureKind, owner: str | None, value: object) -> Feature:
+    """The :class:`Feature` of one :func:`_features` triple."""
+    if kind is FeatureKind.COST:
+        return Feature(kind, owner, cost=value)
+    return Feature(kind, owner, value)
+
+
 def gamma(model: Model) -> frozenset[Feature]:
     """Decompose a model into its feature set."""
-    features: set[Feature] = set()
-    for fact in model.init:
-        features.add(Feature(FeatureKind.INIT, fact=fact))
-    for fact in model.goal:
-        features.add(Feature(FeatureKind.GOAL, fact=fact))
-    for act in model.actions:
-        for fact in act.preconditions:
-            features.add(Feature(FeatureKind.PRECONDITION, owner=act.name, fact=fact))
-        for fact in act.add_effects:
-            features.add(Feature(FeatureKind.ADD_EFFECT, owner=act.name, fact=fact))
-        for fact in act.delete_effects:
-            features.add(Feature(FeatureKind.DELETE_EFFECT, owner=act.name, fact=fact))
-        features.add(Feature(FeatureKind.COST, owner=act.name, cost=act.cost))
-    return frozenset(features)
+    return frozenset(_feature(*feature) for feature in _features(model))
 
 
 def reconstruct(features: Iterable[Feature], facts: Iterable[Fact] | None = None) -> Model:
@@ -543,13 +539,6 @@ def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
     return frozenset(changes)
 
 
-def _action(model: Model, name: str) -> GroundAction:
-    for act in model.actions:
-        if act.name == name:
-            return act
-    raise InvalidEditError(f"model has no action named {name!r}")
-
-
 def apply_change(model: Model, change: FeatureChange) -> Model:
     """Apply one unit change, returning a new model.
 
@@ -571,7 +560,10 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
     elif feat.kind is FeatureKind.GOAL:
         current = model.goal
     else:
-        act = _action(model, feat.owner)
+        try:
+            act = model.action(feat.owner)
+        except KeyError:
+            raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
         if feat.kind is FeatureKind.COST:
             if act.cost == feat.cost:
                 raise ChangePreconditionError(f"{feat.render()} is already present")

@@ -27,14 +27,16 @@ at its first path, and pops them in FIFO order.  The breadth-first search
 keeps that first path as one parent link per state, and its plan,
 expansions, generated states and budget error equal the heap search's.
 
-States are bitmasks over the model's fact universe.  This module owns that
-encoding: :func:`compile_model` turns a model into a hashable
-:class:`CompiledModel`, :func:`compile_edits` turns unit changes into edits
-of it, and :func:`apply_edit` applies one.  A reconciliation search compiles
-the human model and its change pool once, takes the lattice's
-:func:`envelope`, drops the edits that :func:`inert_edits` finds change no
-plan, and then derives every lattice node with one edit; the planner and
-:func:`plan_cost` accept either form.
+States are bitmasks over a fact universe.  This module owns that encoding:
+:func:`fact_bits` numbers the facts, :func:`compile_model` turns a model
+into a hashable :class:`CompiledModel`, :func:`compile_edits` turns unit
+changes into edits of it, and :func:`apply_edit` applies one.  A
+reconciliation problem computes its universe's bits once and compiles its
+models and change pool against them, takes the lattice's :func:`envelope`,
+drops the edits that :func:`inert_edits` finds change no plan, and then
+derives every lattice node with one edit.  Given a :class:`Model`,
+:func:`optimal_plan` and :func:`plan_cost` compile it against its own
+universe.
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ class PlanResult(NamedTuple):
 
 
 class CompiledModel(NamedTuple):
-    """A model as bitmasks over its fact universe, for the planner's inner loop.
+    """A model as bitmasks over a fact universe, for the planner's inner loop.
 
-    Facts get bits in the order of their rendered strings.  ``ops`` holds one
+    Facts get bits by :func:`fact_bits`.  ``ops`` holds one
     (pre, add, keep, cost, name) tuple per action in model order, which is
     action-name order, where ``keep`` clears the delete effects.  The
     breadth-first planner relies on that order: it tries ops in it.  Equal
-    models compile to equal tuples, so a compiled model serves as a cache
-    key for its model.
+    models compile to equal tuples under the same bits, so a compiled model
+    serves as a cache key for its model among one problem's models.
     """
 
     ops: tuple[tuple[int, int, int, int, str], ...]
@@ -105,18 +107,21 @@ class CompiledModel(NamedTuple):
 # or new cost).  It toggles the bit in the init, goal or the action's mask
 # of that kind, or replaces the action's cost.
 Edit = tuple[FeatureKind, int | None, int]
+Bits = dict[Fact, int]  # each fact's bit in a compiled model
 
 
-def _fact_bits(model: Model) -> dict[Fact, int]:
-    ordered = sorted(model.facts, key=lambda f: f.render())
+def fact_bits(facts: Iterable[Fact]) -> Bits:
+    """Each fact's bit: the facts in the order of their rendered strings."""
+    ordered = sorted(facts, key=lambda f: f.render())
     return {f: 1 << i for i, f in enumerate(ordered)}
 
 
-def compile_model(model: Model | CompiledModel) -> CompiledModel:
-    """The model's bitmask encoding; a compiled model is returned as is."""
+def compile_model(model: Model | CompiledModel, bits: Bits | None = None) -> CompiledModel:
+    """The model's bitmask encoding under ``bits``, by default its own
+    universe's :func:`fact_bits`; a compiled model is returned as is."""
     if isinstance(model, CompiledModel):
         return model
-    bit = _fact_bits(model)
+    bit = fact_bits(model.facts) if bits is None else bits
 
     def mask(facts: Iterable[Fact]) -> int:
         return sum(bit[f] for f in facts)  # distinct bits: the sum is their union
@@ -128,19 +133,18 @@ def compile_model(model: Model | CompiledModel) -> CompiledModel:
     return CompiledModel(ops, mask(model.init), mask(model.goal))
 
 
-def compile_edits(model: Model, changes: Iterable[FeatureChange]) -> tuple[Edit, ...]:
-    """Each change as an edit of ``compile_model(model)``.
+def compile_edits(model: Model, changes: Iterable[FeatureChange], bits: Bits) -> tuple[Edit, ...]:
+    """Each change as an edit of ``compile_model(model, bits)``.
 
     A toggle agrees with :func:`~pegplan.model.apply_change` wherever the
     change's presence/absence precondition holds, as it does on every
     subset of a reconciliation pool: no two pool changes share a feature.
     """
-    bit = _fact_bits(model)
     index = {act.name: i for i, act in enumerate(model.actions)}
     edits = []
     for change in changes:
         feat = change.feature
-        value = feat.cost if feat.fact is None else bit[feat.fact]
+        value = feat.cost if feat.fact is None else bits[feat.fact]
         edits.append((feat.kind, index.get(feat.owner), value))
     return tuple(edits)
 

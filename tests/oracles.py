@@ -107,6 +107,26 @@ def uniform_cost_plan(model: Model) -> tuple[int, tuple[str, ...]] | None:
     return None
 
 
+def gamma_is_explanation(problem: ReconciliationProblem, changes) -> bool:
+    """:func:`~pegplan.is_explanation` by its definition over feature sets.
+
+    Every feature the changes add must be the robot's (g_u - g_h ⊆ g_r),
+    every feature they remove must not be (g_h - g_u ⊆ g_h - g_r), and the
+    cost gap, the robot plan's simulated cost minus the cost of
+    :func:`uniform_cost_plan`, must strictly shrink.
+    """
+    updated = problem.apply_changes(changes)
+    g_h, g_r, g_u = gamma(problem.human), gamma(problem.robot), gamma(updated)
+    if not (g_u - g_h <= g_r and g_h - g_u <= g_h - g_r):
+        return False
+
+    def gap(model: Model) -> float:
+        target = simulated_cost(problem.robot_plan.actions, model)
+        return inf if target is None else target - uniform_cost_plan(model)[0]
+
+    return gap(updated) < gap(problem.human)
+
+
 def enumerated_plan(model: Model, cost: int) -> tuple[str, ...]:
     """The first plan of the given cost among all action sequences listed
     by length, and within a length in sorted name order.
@@ -306,7 +326,7 @@ def random_solvable_model(rng: random.Random) -> Model:
             return model
 
 
-def _random_edit(rng: random.Random, model: Model) -> FeatureChange | None:
+def random_edit(rng: random.Random, model: Model) -> FeatureChange | None:
     """One random feature edit that is valid on ``model``, or None."""
     from pegplan.model import Feature, FeatureKind, gamma
 
@@ -339,7 +359,7 @@ def random_edit_chain(rng: random.Random, model: Model, steps: int) -> list[Mode
     in turn, each by :func:`~pegplan.apply_change`."""
     chain = [model]
     while len(chain) <= steps:
-        change = _random_edit(rng, chain[-1])
+        change = random_edit(rng, chain[-1])
         if change is None:
             continue
         try:
@@ -362,7 +382,7 @@ def random_reconciliation(
         for _ in range(40):
             if applied == edits:
                 break
-            change = _random_edit(rng, human)
+            change = random_edit(rng, human)
             if change is None:
                 continue
             try:
@@ -401,7 +421,7 @@ def constrained_reconciliation(rng: random.Random, max_pool: int = 6) -> Reconci
                 )
             )
         for _ in range(rng.randint(0, 2)):
-            change = _random_edit(rng, human)
+            change = random_edit(rng, human)
             if change is None:
                 continue
             try:

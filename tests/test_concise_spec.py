@@ -46,7 +46,8 @@ from oracles import (
 
 def _count_derivations(monkeypatch) -> Counter:
     """Count the searches' ``apply_change`` calls (each builds a Model), the
-    edits they derive nodes with, and the invalid subsets those edits meet."""
+    edits they derive nodes and trace steps with, and the invalid subsets
+    those edits meet."""
     counts = Counter()
     original_change = explain.apply_change
     original_edit = explain.apply_edit
@@ -92,7 +93,7 @@ def test_compiled_edits_agree_with_apply_change_on_every_subset():
         make = random_reconciliation if i % 2 else constrained_reconciliation
         problem = make(rng)
         pool = sorted(problem.pool)
-        pairs = list(zip(pool, compile_edits(problem.human, pool)))
+        pairs = list(zip(pool, compile_edits(problem.human, pool, problem._bits)))
         for r in range(len(pairs) + 1):
             for subset in itertools.combinations(pairs, r):
                 model = subset_model(problem.human, [change for change, _ in subset])
@@ -279,8 +280,9 @@ def test_concise_work_on_rover_p02(rover_p02, monkeypatch):
     assert trace.expansions == 816
     assert trace.planner_calls <= 20
     assert counts["apply_change"] <= len(trace.steps)
-    # one edit for each dequeued node but the root, invalid ones included
-    assert counts["edits"] == trace.expansions - 1 + counts["invalid"]
+    # one edit for each dequeued node but the root, invalid ones included,
+    # and one for each trace step but the first
+    assert counts["edits"] == trace.expansions - 1 + counts["invalid"] + len(trace.changes)
 
 
 def _record_nodes(monkeypatch) -> list:
@@ -363,6 +365,7 @@ def test_progressive_work_on_rover_p01(rover_p01, monkeypatch):
     assert trace.expansions == 8
     assert trace.planner_calls <= 9
     assert counts["apply_change"] <= len(trace.steps)
-    # at most one edit for each subset but the root: none of them is invalid
+    # at most one edit for each subset but the root, and one for each trace
+    # step but the first: none of them is invalid
     assert counts["invalid"] == 0
-    assert counts["edits"] < 2 ** len(problem._changes)
+    assert counts["edits"] < 2 ** len(problem._changes) + len(trace.changes)

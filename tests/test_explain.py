@@ -1,6 +1,7 @@
 """Reconciliation-problem and explanation-search tests."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -12,6 +13,7 @@ from pegplan import (
     GroundAction,
     MetricKind,
     Model,
+    ModelError,
     PerturbSpec,
     ReconciliationError,
     ReconciliationProblem,
@@ -21,14 +23,21 @@ from pegplan import (
     generate_progressive,
     is_complete,
     is_explanation,
+    optimal_plan,
     parse_change,
     perturb_model,
 )
 
-from pegplan import explain
+from pegplan import explain, planner
 from pegplan.metrics import heuristic, rho
 
-from oracles import constrained_reconciliation, exhaustive_min_effort, random_reconciliation
+from oracles import (
+    constrained_reconciliation,
+    exhaustive_min_effort,
+    gamma_is_explanation,
+    random_edit,
+    random_reconciliation,
+)
 
 P, G = Fact("p"), Fact("g")
 
@@ -91,6 +100,35 @@ class TestProblemConstruction:
         ]
 
 
+class TestOneFactEncoding:
+    def test_a_problem_sorts_its_fact_universe_once(self, rover_p01, monkeypatch):
+        """A problem with a given robot plan, its progressive and concise
+        searches, both predicates on their answers and each public query on
+        a Model sort the fact universe once, for the problem's one encoding:
+        robot, human, edits, trace steps and queries all compile against it.
+        Counting the planner module's ``sorted`` calls counts those sorts."""
+        human, _, _ = perturb_model(rover_p01, PerturbSpec(0.14, 1))
+        robot_plan = optimal_plan(rover_p01).plan
+        sorts = Counter()
+
+        def counting_sorted(*args, **kwargs):
+            sorts["calls"] += 1
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "sorted", counting_sorted, raising=False)
+        problem = ReconciliationProblem(rover_p01, human, robot_plan)
+        for trace in (generate_progressive(problem), generate_concise(problem)):
+            assert trace.changes and trace.complete
+            assert is_explanation(problem, trace.changes)
+            assert is_complete(problem, trace.changes)
+        for model in (problem.human, problem.robot):
+            problem.plan_result(model)
+            problem.cost_gap(model)
+            problem.is_complete_model(model)
+            problem.anchored_plan(model)
+        assert sorts["calls"] == 1
+
+
 class TestGapAndAnchoring:
     def test_gap_is_zero_on_the_robot_model(self, errand_pair):
         problem = errand_problem(errand_pair)
@@ -141,6 +179,34 @@ class TestExplanationPredicates:
         problem = ReconciliationProblem(robot, robot)
         assert is_complete(problem, [])
         assert not is_explanation(problem, [])
+
+    def test_is_explanation_agrees_with_its_feature_set_definition(self):
+        """Random pool subsets in random order, some with off-pool edits of
+        the human model appended: ``is_explanation`` (a delta against the
+        pool) and the gamma-set oracle agree, also on the lists that raise."""
+        rng = random.Random(71)
+        outcomes = Counter()
+        for i in range(600):
+            make = random_reconciliation if i % 2 else constrained_reconciliation
+            problem = make(rng)
+            pool = sorted(problem.pool)
+            for _ in range(5):
+                changes = rng.sample(pool, rng.randint(0, len(pool)))
+                for _ in range(rng.choice((0, 0, 1, 2))):
+                    extra = random_edit(rng, problem.human)
+                    if extra is not None and extra not in changes:
+                        changes.insert(rng.randint(0, len(changes)), extra)
+                try:
+                    want = gamma_is_explanation(problem, changes)
+                except ModelError as exc:
+                    with pytest.raises(type(exc)):
+                        is_explanation(problem, changes)
+                    outcomes["raised"] += 1
+                    continue
+                assert is_explanation(problem, changes) == want, [c.render() for c in changes]
+                outcomes[want, bool(set(changes) - problem.pool)] += 1
+        assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
+        assert outcomes["raised"]
 
 
 class TestCandidateOrdering:
