@@ -10,6 +10,7 @@ models can be diffed, edited, and reconciled one feature at a time.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from functools import total_ordering
 from typing import Iterable
@@ -39,7 +40,6 @@ __all__ = [
     "parse_feature",
     "parse_change",
     "gamma",
-    "reconstruct",
     "delta",
     "apply_change",
 ]
@@ -345,7 +345,8 @@ class Feature(_Value):
         object.__setattr__(self, "fact", fact)
         object.__setattr__(self, "cost", cost)
         value = cost if kind is FeatureKind.COST else fact.render()
-        object.__setattr__(self, "sort_index", _feature_string(kind, owner, value))
+        # interned: equal features, from any model, share one string
+        object.__setattr__(self, "sort_index", sys.intern(_feature_string(kind, owner, value)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -443,63 +444,6 @@ def _feature(kind: FeatureKind, owner: str | None, value: object) -> Feature:
 def gamma(model: Model) -> frozenset[Feature]:
     """Decompose a model into its feature set."""
     return frozenset(_feature(*feature) for feature in _features(model))
-
-
-def reconstruct(features: Iterable[Feature], facts: Iterable[Fact] | None = None) -> Model:
-    """Rebuild the model a feature set came from.
-
-    The fact universe is recovered from the features themselves unless a
-    larger universe is supplied; action names are recovered from the cost
-    features, which every action carries exactly one of.  The library never
-    rebuilds a model this way; ``tests/test_model.py`` uses it as the
-    reference that :func:`gamma` loses nothing and that every model
-    :func:`apply_change` derives equals the one rebuilt from its features.
-    """
-    init: set[Fact] = set()
-    goal: set[Fact] = set()
-    pre: dict[str, set[Fact]] = {}
-    add: dict[str, set[Fact]] = {}
-    dele: dict[str, set[Fact]] = {}
-    costs: dict[str, int] = {}
-    owners: set[str] = set()
-    for feat in features:
-        if feat.kind is FeatureKind.INIT:
-            init.add(feat.fact)
-        elif feat.kind is FeatureKind.GOAL:
-            goal.add(feat.fact)
-        elif feat.kind is FeatureKind.COST:
-            if feat.owner in costs:
-                raise ModelError(f"action {feat.owner}: more than one cost feature")
-            costs[feat.owner] = feat.cost
-            owners.add(feat.owner)
-        else:
-            table = {
-                FeatureKind.PRECONDITION: pre,
-                FeatureKind.ADD_EFFECT: add,
-                FeatureKind.DELETE_EFFECT: dele,
-            }[feat.kind]
-            table.setdefault(feat.owner, set()).add(feat.fact)
-            owners.add(feat.owner)
-    missing_costs = owners - set(costs)
-    if missing_costs:
-        raise ModelError(
-            "actions without a cost feature: " + ", ".join(sorted(missing_costs))
-        )
-    actions = tuple(
-        GroundAction(
-            name,
-            frozenset(pre.get(name, ())),
-            frozenset(add.get(name, ())),
-            frozenset(dele.get(name, ())),
-            costs[name],
-        )
-        for name in sorted(owners)
-    )
-    referenced: set[Fact] = set(init) | set(goal)
-    for act in actions:
-        referenced |= act.preconditions | act.add_effects | act.delete_effects
-    universe = frozenset(facts) | frozenset(referenced) if facts is not None else frozenset(referenced)
-    return Model(universe, actions, frozenset(init), frozenset(goal))
 
 
 def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:

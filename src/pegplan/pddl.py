@@ -435,6 +435,10 @@ def _ground_atom(atom: LiftedAtom, binding: dict[str, str], arities: dict[str, i
     return Fact(atom.name, args)
 
 
+# One Fact object per distinct ground atom, across every call of ground().
+_FACTS: dict[Fact, Fact] = {}
+
+
 def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Model:
     """Ground a domain/problem pair into a model.
 
@@ -442,6 +446,13 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
     hyphens.  Actions whose preconditions can never hold (by static facts or
     delete-relaxed reachability) are pruned; actions whose delete effects
     overlap their add effects are normalized with the add winning.
+
+    Every model ground in a process shares one object per atom and per
+    action name: facts come from one module-level table, and names are
+    interned by ``sys.intern``.  Set operations over a model's facts, and
+    over every model edited from it, then match facts by identity, and the
+    models a study keeps hold one copy of each.  Like ``sys.intern``'s
+    table, the fact table grows only with the distinct atoms ground.
     """
     if problem.domain != domain.name:
         raise GroundingError(
@@ -459,13 +470,10 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
         objs.sort()
 
     arities = {p.name: len(p.params) for p in domain.predicates}
-    # One object per ground atom: set operations over the model's facts, and
-    # over every model edited from it, then match facts by identity.
-    interned: dict[Fact, Fact] = {}
 
     def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> frozenset[Fact]:
         facts = (_ground_atom(a, binding, arities) for a in lifted)
-        return frozenset(interned.setdefault(f, f) for f in facts) or _NO_FACTS
+        return frozenset(_FACTS.setdefault(f, f) for f in facts) or _NO_FACTS
 
     init_facts = atoms(problem.init, {})
     goal_facts = atoms(problem.goal, {})
@@ -494,7 +502,7 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
             if not statics <= init_facts:
                 continue
             dele = dele - add or _NO_FACTS  # add wins when an action both adds and deletes
-            name = "-".join((schema.name,) + combo)
+            name = sys.intern("-".join((schema.name,) + combo))
             candidates.append(GroundAction(name, pre, add, dele, cost))
 
     # Delete-relaxed reachability: keep only actions that can ever fire.

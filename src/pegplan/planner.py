@@ -13,19 +13,38 @@ lexicographically smallest cheapest plan at all.
 
 When every action costs the same c (0 included), a path of length n costs
 c * n, so the canonical order is (length, names), and a FIFO breadth-first
-search finds the same plan with the same work.  Ops are tried in name order
-(see :class:`CompiledModel`), so a state of length n with path p queues its
+search finds the same plan.  Ops are tried in name order (see
+:class:`CompiledModel`), so a state of length n with path p queues its
 successors at keys (n + 1, p + (name,)) in increasing order.  States leave
 the queue in the order they entered it, and every state queued from a later
 state carries a larger key than every state queued from an earlier one: by
 length if the lengths differ, and otherwise by the first name where the two
-same-length paths differ.  So keys enter the queue strictly increasing, the
-queue pops by key exactly as the heap does, and a state reached again never
-has a smaller key than its first entry.  The heap search therefore never
-re-queues a state and never pops a stale entry: it queues each state once,
-at its first path, and pops them in FIFO order.  The breadth-first search
-keeps that first path as one parent link per state, and its plan,
-expansions, generated states and budget error equal the heap search's.
+same-length paths differ.  So keys enter the queue strictly increasing, and
+a state reached again never has a smaller key than its first entry: the
+breadth-first search keeps that first path, as one parent link per state.
+It tests the goal when it generates a state, not when it pops one.  Every
+goal state's least path is its first entry, and the first goal state
+generated has the least first entry of all, since every later entry has a
+larger key; so it carries the canonical plan.  The search stops there, at
+or before the expansion where the heap search would pop that state, so its
+expansions and generated states never exceed the heap search's.  The heap
+search keeps its pop-time test: with mixed costs a cheaper path can still
+be generated after the first goal state is.
+
+Both searches run on the model's projection onto its *live* facts: the facts
+some precondition or the goal reads, minus the *fixed* facts, which the
+init holds and no action deletes.  A fact no precondition or goal reads
+never decides whether an action applies or the goal holds, and a fixed
+fact holds in every reachable state, so dropping both from every state,
+precondition, effect and goal leaves the same action sequences applicable
+and the same ones reaching the goal, at the same cost.  Projection maps
+each successor of a state to the projection of its successor, so the
+search over projected states sees the same paths; it only merges states
+that differ in dropped facts, whose futures are the same.  Each projected
+state's first path is the least among its member states' least paths, so
+both arguments above hold on the projection, and it yields the canonical
+plan of the model, with fewer states expanded (Nebel, Dimopoulos & Koehler,
+"Ignoring Irrelevant Facts and Operators in Plan Generation", ECP 1997).
 
 States are bitmasks over a fact universe.  This module owns that encoding:
 :func:`fact_bits` numbers the facts, :func:`compile_model` turns a model
@@ -199,6 +218,28 @@ def envelope(a: CompiledModel, b: CompiledModel) -> tuple[CompiledModel, Compile
     )
 
 
+def _read_and_fixed(c: CompiledModel) -> tuple[int, int]:
+    """The facts some precondition or the goal reads, and the facts the init
+    holds that no action deletes."""
+    read = c.goal
+    deleted = 0
+    for pre, _, keep, _, _ in c.ops:
+        read |= pre
+        deleted |= ~keep
+    return read, c.init & ~deleted
+
+
+def _project(c: CompiledModel) -> CompiledModel:
+    """The model on its live facts: read ones that are not fixed (see the
+    module docstring for why its plans are the model's)."""
+    read, fixed = _read_and_fixed(c)
+    live = read & ~fixed
+    ops = tuple(
+        (pre & live, add & live, keep & live, cost, name) for pre, add, keep, cost, name in c.ops
+    )
+    return CompiledModel(ops, c.init & live, c.goal & live)
+
+
 def inert_edits(constrained: CompiledModel, edits: Sequence[Edit]) -> tuple[bool, ...]:
     """Which edits of a reconciliation pool change no plan and no plan's cost.
 
@@ -213,12 +254,7 @@ def inert_edits(constrained: CompiledModel, edits: Sequence[Edit]) -> tuple[bool
     :class:`~pegplan.explain.ReconciliationProblem` for why such an edit
     leaves every plan and its cost unchanged.
     """
-    read = constrained.goal
-    deleted = 0
-    for pre, _, keep, _, _ in constrained.ops:
-        read |= pre
-        deleted |= ~keep
-    fixed = constrained.init & ~deleted
+    read, fixed = _read_and_fixed(constrained)
     inert = {
         FeatureKind.PRECONDITION: fixed,
         FeatureKind.GOAL: fixed,
@@ -257,15 +293,16 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
     lexicographically smallest by action names (see the module docstring),
     so it depends on the model alone.  Raises :class:`BudgetExceededError`
     when ``node_budget`` expansions are exceeded before an answer is found.
-    A model whose actions all cost the same is searched breadth-first, any
-    other cheapest-first; both return the same plan and counters.
+    The search runs on the model's projection onto its live facts; a model
+    whose actions all cost the same is searched breadth-first, any other
+    cheapest-first.
     """
     start = time.perf_counter()
     c = compile_model(model)
     if not _goal_relaxed_reachable(c):
         return PlanResult(False, None, 0, 0, time.perf_counter() - start)
     search = _breadth_first if len({op[3] for op in c.ops}) <= 1 else _cheapest_first
-    plan, expansions, generated = search(c, node_budget)
+    plan, expansions, generated = search(_project(c), node_budget)
     return PlanResult(plan is not None, plan, expansions, generated, time.perf_counter() - start)
 
 
@@ -320,10 +357,14 @@ def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | No
     """:func:`_cheapest_first` for a model whose actions all cost the same.
 
     A FIFO queue over states, with one parent link per state in place of
-    keys and path tuples; the module docstring shows why it pops, counts
-    and returns exactly what :func:`_cheapest_first` does.
+    keys and path tuples, that tests the goal on the init and then on each
+    state it generates.  The module docstring shows why the first goal state
+    generated carries the canonical plan, and why the expansions and
+    generated states never exceed :func:`_cheapest_first`'s.
     """
     ops, init, goal = c
+    if init & goal == goal:
+        return Plan((), 0), 0, 0
     expansions = 0
     generated = 0
     parent: dict[int, tuple[int, str] | None] = {init: None}
@@ -332,14 +373,6 @@ def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | No
         expansions += 1
         if node_budget is not None and expansions > node_budget:
             raise _over_budget(node_budget)
-        if state & goal == goal:
-            path = []
-            while (link := parent[state]) is not None:
-                state, name = link
-                path.append(name)
-            path.reverse()
-            cost = ops[0][3] * len(path) if path else 0
-            return Plan(tuple(path), cost), expansions, generated
         for pre, add, keep, _, name in ops:
             if state & pre != pre:
                 continue
@@ -347,8 +380,15 @@ def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | No
             if succ in parent:
                 continue
             parent[succ] = (state, name)
-            queue.append(succ)
             generated += 1
+            if succ & goal == goal:
+                path = []
+                while (link := parent[succ]) is not None:
+                    succ, name = link
+                    path.append(name)
+                path.reverse()
+                return Plan(tuple(path), ops[0][3] * len(path)), expansions, generated
+            queue.append(succ)
 
     return None, expansions, generated
 

@@ -11,7 +11,8 @@ table), and minimal explanation effort and the concise explanation from
 exhaustive enumeration of change orderings (no heuristic search, no subset
 lattice).  A model's digest and the delta between two models come from
 their full :func:`~pegplan.model.gamma` feature sets (the package renders
-feature strings without features and diffs only the actions that differ).
+feature strings without features and diffs only the actions that differ),
+and :func:`reconstruct` rebuilds a model from its feature set.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
+from typing import Iterable
 
 from pegplan import (
     Fact,
+    Feature,
     FeatureChange,
     GroundAction,
     Model,
+    ModelError,
     ReconciliationProblem,
     apply_change,
     delta,
@@ -57,6 +61,64 @@ def gamma_delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
         {FeatureChange("add", f) for f in g2 - g1}
         | {FeatureChange("remove", f) for f in g1 - g2 if f.kind is not FeatureKind.COST}
     )
+
+
+def reconstruct(features: Iterable[Feature], facts: Iterable[Fact] | None = None) -> Model:
+    """Rebuild the model a feature set came from.
+
+    The fact universe is recovered from the features themselves unless a
+    larger universe is supplied; action names are recovered from the cost
+    features, which every action carries exactly one of.  The package never
+    rebuilds a model this way; ``tests/test_model.py`` uses it as the
+    reference that :func:`~pegplan.model.gamma` loses nothing and that every
+    model :func:`~pegplan.apply_change` derives equals the one rebuilt from
+    its features.
+    """
+    init: set[Fact] = set()
+    goal: set[Fact] = set()
+    pre: dict[str, set[Fact]] = {}
+    add: dict[str, set[Fact]] = {}
+    dele: dict[str, set[Fact]] = {}
+    costs: dict[str, int] = {}
+    owners: set[str] = set()
+    for feat in features:
+        if feat.kind is FeatureKind.INIT:
+            init.add(feat.fact)
+        elif feat.kind is FeatureKind.GOAL:
+            goal.add(feat.fact)
+        elif feat.kind is FeatureKind.COST:
+            if feat.owner in costs:
+                raise ModelError(f"action {feat.owner}: more than one cost feature")
+            costs[feat.owner] = feat.cost
+            owners.add(feat.owner)
+        else:
+            table = {
+                FeatureKind.PRECONDITION: pre,
+                FeatureKind.ADD_EFFECT: add,
+                FeatureKind.DELETE_EFFECT: dele,
+            }[feat.kind]
+            table.setdefault(feat.owner, set()).add(feat.fact)
+            owners.add(feat.owner)
+    missing_costs = owners - set(costs)
+    if missing_costs:
+        raise ModelError(
+            "actions without a cost feature: " + ", ".join(sorted(missing_costs))
+        )
+    actions = tuple(
+        GroundAction(
+            name,
+            frozenset(pre.get(name, ())),
+            frozenset(add.get(name, ())),
+            frozenset(dele.get(name, ())),
+            costs[name],
+        )
+        for name in sorted(owners)
+    )
+    referenced: set[Fact] = set(init) | set(goal)
+    for act in actions:
+        referenced |= act.preconditions | act.add_effects | act.delete_effects
+    universe = frozenset(facts) | frozenset(referenced) if facts is not None else frozenset(referenced)
+    return Model(universe, actions, frozenset(init), frozenset(goal))
 
 
 def simulated_cost(plan, model: Model) -> int | None:

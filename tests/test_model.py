@@ -23,12 +23,11 @@ from pegplan import (
     parse_change,
     parse_fact,
     parse_feature,
-    reconstruct,
 )
 from pegplan.model import _NO_FACTS, Feature
 from pegplan.pddl import LiftedAtom
 
-from oracles import gamma_delta, gamma_digest, random_edit_chain, random_model
+from oracles import gamma_delta, gamma_digest, random_edit_chain, random_model, reconstruct
 
 P, Q, G = Fact("p"), Fact("q"), Fact("g")
 
@@ -224,6 +223,14 @@ class TestValueSemantics:
             "add go-has-cost-10", "add goal-has-a", "add init-has-z",
             "remove go-has-cost-10", "remove goal-has-a", "remove init-has-z",
         ]
+
+    def test_equal_features_share_one_string(self):
+        for text in ("go-has-precondition-p(x,y)", "go-has-cost-12", "init-has-q"):
+            built = parse_feature(text)
+            again = parse_feature(" " + text)
+            assert built == again and built.sort_index is again.sort_index
+        rendered = Feature(FeatureKind.PRECONDITION, owner="go", fact=Fact("p", ("x", "y")))
+        assert rendered.sort_index is parse_feature("go-has-precondition-p(x,y)").sort_index
 
     def test_repr_strings(self):
         at = Fact("at", ("r", "w1"))

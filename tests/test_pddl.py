@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pegplan import Fact, ground, load_fixture, split_conditional_costs
+from pegplan import Fact, ground, load_fixture, optimal_plan, pddl, split_conditional_costs
 from pegplan.model import _NO_FACTS
 from pegplan.pddl import (
     GroundingError,
@@ -159,6 +159,40 @@ class TestGrounding:
         assert empty and all(facts is _NO_FACTS for facts in empty)
         names = [name for f in rover_p01.facts for name in (f.name, *f.args)]
         assert all(sys.intern(name) is name for name in names)
+
+    def test_two_grounds_share_every_fact_and_action_name(self):
+        rover = BENCHMARKS / "rover"
+        domain, problem = ((rover / name).read_text() for name in ("domain.pddl", "p01.pddl"))
+        first, second = (ground(parse_domain(domain), parse_problem(problem)) for _ in range(2))
+        assert first == second
+        facts = {f: f for f in first.facts}
+        assert all(facts[f] is f for f in second.facts)
+        used = [second.init, second.goal]
+        for act in second.actions:
+            used += [act.preconditions, act.add_effects, act.delete_effects]
+        assert all(facts[f] is f for facts_used in used for f in facts_used)
+        assert all(a.name is b.name for a, b in zip(first.actions, second.actions))
+
+    def test_a_new_atom_still_grounds(self):
+        domain = parse_domain("""
+            (define (domain lamps)
+              (:requirements :strips :typing)
+              (:types lamp)
+              (:predicates (lit ?l - lamp))
+              (:action light :parameters (?l - lamp) :precondition (and) :effect (lit ?l)))
+        """)
+        problem = parse_problem("""
+            (define (problem one-lamp)
+              (:domain lamps)
+              (:objects lamp-only-ground-here - lamp)
+              (:init)
+              (:goal (lit lamp-only-ground-here)))
+        """)
+        model = ground(domain, problem)
+        (fact,) = model.goal
+        assert fact == Fact("lit", ("lamp-only-ground-here",))
+        assert pddl._FACTS[fact] is fact
+        assert optimal_plan(model).plan.actions == ("light-lamp-only-ground-here",)
 
     def test_add_wins_when_effects_overlap(self):
         model = ground(parse_domain(TOGGLER), parse_problem(TOGGLER_PROBLEM))

@@ -233,31 +233,56 @@ def budget_outcome(search, compiled, node_budget):
         return str(exc)
 
 
+def cross_check_models(rover_p01: Model, rover_p02: Model, mixed: bool) -> list[Model]:
+    """Rover p01/p02 and their perturbations (every cost 1), and 300 seeded
+    random models with every cost set to 0, 1 and 3, and also as drawn
+    (mixed costs) when ``mixed``."""
+    models = [rover_p01, rover_p02]
+    for seed in range(10):
+        models.append(perturb_model(rover_p01, PerturbSpec(0.1, seed))[0])
+        models.append(perturb_model(rover_p02, PerturbSpec(0.2, seed))[0])
+    rng = random.Random(71)
+    for _ in range(300):
+        m = random_model(rng)
+        models.extend(with_cost(m, cost) for cost in (0, 1, 3))
+        if mixed:
+            models.append(m)
+    return models
+
+
+class TestProjection:
+    """optimal_plan searches the model projected onto its live facts; the
+    projection keeps every model's solvability and canonical plan."""
+
+    def test_same_plan_as_the_unprojected_search_and_the_oracle(self, rover_p01, rover_p02):
+        solvable = unsolvable = merged = 0
+        for m in cross_check_models(rover_p01, rover_p02, mixed=True):
+            c = compile_model(m)
+            got = optimal_plan(m)
+            unprojected, expansions, _ = _cheapest_first(c, None)
+            assert (got.solvable, got.plan) == (unprojected is not None, unprojected), m
+            want = uniform_cost_plan(m)
+            assert ((got.plan.cost, got.plan.actions) if got.solvable else None) == want, m
+            solvable += got.solvable
+            unsolvable += not got.solvable
+            # the projection merges states: the same search expands fewer
+            merged += _cheapest_first(planner._project(c), None)[1] < expansions
+        assert solvable > 700 and unsolvable > 400 and merged > 200
+
+
 class TestBreadthFirst:
     """On models whose actions all cost the same, the breadth-first search
-    returns the heap search's plan, counters and budget errors."""
+    returns the heap search's plan, with no more work, and raises the same
+    budget error whenever its own work exceeds the budget."""
 
-    @staticmethod
-    def uniform_models(rover_p01: Model, rover_p02: Model) -> list[Model]:
-        """Rover p01/p02 and their perturbations (every cost 1), and seeded
-        random models with every cost set to 0, 1 and 3."""
-        models = [rover_p01, rover_p02]
-        for seed in range(10):
-            models.append(perturb_model(rover_p01, PerturbSpec(0.1, seed))[0])
-            models.append(perturb_model(rover_p02, PerturbSpec(0.2, seed))[0])
-        rng = random.Random(71)
-        for _ in range(300):
-            m = random_model(rng)
-            models.extend(with_cost(m, cost) for cost in (0, 1, 3))
-        return models
-
-    def test_same_plan_and_counters_as_the_heap_search(self, rover_p01, rover_p02):
+    def test_same_plan_as_the_heap_search_with_no_more_work(self, rover_p01, rover_p02):
         solvable = unsolvable = 0
-        for m in self.uniform_models(rover_p01, rover_p02):
+        for m in cross_check_models(rover_p01, rover_p02, mixed=False):
             c = compile_model(m)
-            got = _breadth_first(c, None)
-            assert got == _cheapest_first(c, None), m
-            plan = got[0]
+            plan, expansions, generated = _breadth_first(c, None)
+            heap_plan, heap_expansions, heap_generated = _cheapest_first(c, None)
+            assert plan == heap_plan, m
+            assert expansions <= heap_expansions and generated <= heap_generated, m
             if plan is None:
                 unsolvable += 1
             else:
@@ -265,14 +290,22 @@ class TestBreadthFirst:
                 assert plan_cost(plan, m) == plan.cost
         assert solvable > 300 and unsolvable > 100
 
-    def test_same_budget_errors_as_the_heap_search(self, rover_p01, rover_p02):
-        for m in self.uniform_models(rover_p01, rover_p02)[::7]:
+    def test_less_work_than_the_heap_search_on_rover(self, rover_p01, rover_p02):
+        for m in (rover_p01, rover_p02):
             c = compile_model(m)
-            expansions = _cheapest_first(c, None)[1]
-            for budget in {0, 1, 2, 5, expansions - 1, expansions}:
+            _, expansions, generated = _breadth_first(c, None)
+            _, heap_expansions, heap_generated = _cheapest_first(c, None)
+            assert expansions < heap_expansions and generated < heap_generated
+
+    def test_budget_error_exactly_when_its_work_exceeds_the_budget(self, rover_p01, rover_p02):
+        for m in cross_check_models(rover_p01, rover_p02, mixed=False)[::7]:
+            c = compile_model(m)
+            expansions = _breadth_first(c, None)[1]
+            for budget in {0, 1, 2, 5, max(expansions - 1, 0), expansions}:
                 got = budget_outcome(_breadth_first, c, budget)
-                assert got == budget_outcome(_cheapest_first, c, budget), (m, budget)
-                assert isinstance(got, str) == (budget < expansions)
+                assert isinstance(got, str) == (budget < expansions), (m, budget)
+                if isinstance(got, str):
+                    assert got == budget_outcome(_cheapest_first, c, budget), (m, budget)
 
     def test_optimal_plan_picks_the_search_by_costs(self, rover_p01, errand_fixture_pair, monkeypatch):
         robot, _ = errand_fixture_pair
