@@ -38,7 +38,7 @@ from .explain import (
 )
 from .metrics import MetricKind
 from .model import Model, ModelError, parse_change
-from .pddl import GroundingError, ParseError, ground, load_fixture, parse_domain, parse_problem
+from .pddl import GroundingError, ParseError, ground, parse_domain, parse_fixture, parse_problem
 from .planner import BudgetExceededError, PlanningError, optimal_plan
 
 __all__ = ["dispatch", "main"]
@@ -153,10 +153,7 @@ def _load_robot(args) -> Model:
 
 
 def _load_fixture(path: str) -> dict[str, Model]:
-    try:
-        return load_fixture(path)
-    except OSError as exc:
-        raise _CliError(str(exc)) from None
+    return parse_fixture(_read_text(path))
 
 
 def _load_pair(args) -> tuple[Model, Model]:

@@ -412,8 +412,8 @@ class SearchInstrument(NamedTuple):
     ``on_edge(parent_h, step_rho, child_h)`` fires for each generated edge.
     """
 
-    on_node: Callable[[Model, Fraction | float, tuple[FeatureChange, ...]], None] | None = None
-    on_edge: Callable[[Fraction | float, int, Fraction | float], None] | None = None
+    on_node: Callable[[Model, Fraction, tuple[FeatureChange, ...]], None] | None = None
+    on_edge: Callable[[Fraction, int, Fraction], None] | None = None
 
 
 class _Node(NamedTuple):
@@ -426,10 +426,8 @@ class _Node(NamedTuple):
     info: tuple[int, tuple[str, ...], tuple[str, ...] | None]
 
 
-def _scaled(value: Fraction | float, scale: int) -> int | float:
-    """``value * scale`` as an int, which ``scale`` makes exact; inf stays inf."""
-    if isinstance(value, float):
-        return value  # inf, the heuristic's only float
+def _scaled(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int, which ``scale`` makes exact."""
     assert scale % value.denominator == 0, "the key scale must clear every denominator"
     return value.numerator * (scale // value.denominator)
 
@@ -544,9 +542,16 @@ def generate_progressive(
     The A* keys are integers: g, h and f scaled by L = lcm(2, the
     denominator of ``epsilon``).  Each h is an integer or a half, and each
     g a sum of integer efforts and epsilons, so L clears every denominator
-    (asserted, never rounded); an infinite h stays inf.  Scaling by one
-    positive L keeps every comparison and every tie of the exact rationals,
-    so nodes pop in the same order.
+    (asserted, never rounded).  Scaling by one positive L keeps every
+    comparison and every tie of the exact rationals, so nodes pop in the
+    same order.
+
+    Every h is finite.  :func:`~pegplan.metrics.heuristic` returns inf
+    only for a node with a gap left and 0 changes remaining.  Such a node
+    holds every relevant change, so by the claim of
+    :class:`ReconciliationProblem` its model has the robot model's plans
+    at their costs: its cost* is the robot plan's cost and its anchored
+    plan the robot plan, and no gap is left.
 
     ``instrument.on_node`` sees each expanded node as a :class:`Model`,
     built from its path only for that call.  Both probes receive h as the
@@ -600,8 +605,6 @@ def generate_progressive(
     root_info = problem._cost_and_plan(problem._human_state)
     root_h = score(root_info, len(changes))
     root_key = _scaled(root_h, scale)
-    if root_key == inf:
-        raise ReconciliationError("no complete explanation is reachable")
     nodes = {0: _Node(0, (), problem._human_state, root_h, root_key, root_info)}
     # (f, h, size, pool-index sequence, candidate-position sequence, subset),
     # f and h scaled
@@ -648,8 +651,6 @@ def generate_progressive(
             step_rho = rho(metric, node.info, info)
             if on_edge:
                 on_edge(node.h, step_rho, child_h)
-            if h_key == inf:
-                continue  # dead end: effort gap left but no changes to spend
             child_g = node.g + step_rho * scale + epsilon_key
             child_idx = idx_seq + (idx,)
             if known is not None and (child_g, child_idx) >= (known.g, known.idx_seq):

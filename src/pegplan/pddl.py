@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError
+from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, parse_fact
 
 __all__ = [
     "ParseError",
@@ -26,11 +26,8 @@ __all__ = [
     "parse_domain",
     "parse_problem",
     "ground",
-    "FixtureAction",
-    "FixtureModel",
     "parse_fixture",
     "load_fixture",
-    "split_conditional_costs",
 ]
 
 _SUPPORTED_REQUIREMENTS = {":strips", ":typing", ":action-costs"}
@@ -439,11 +436,12 @@ def _ground_atom(atom: LiftedAtom, binding: dict[str, str], arities: dict[str, i
 _FACTS: dict[Fact, Fact] = {}
 
 
-def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Model:
+def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     """Ground a domain/problem pair into a model.
 
     Grounded action names join the schema name and its arguments with
-    hyphens.  Actions whose preconditions can never hold (by static facts or
+    hyphens.  An action without ``(increase (total-cost) k)`` costs 1.
+    Actions whose preconditions can never hold (by static facts or
     delete-relaxed reachability) are pruned; actions whose delete effects
     overlap their add effects are normalized with the add winning.
 
@@ -485,7 +483,7 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
 
     candidates: list[GroundAction] = []
     for schema in domain.actions:
-        cost = schema.cost if schema.cost is not None else default_cost
+        cost = schema.cost if schema.cost is not None else 1
         pools = []
         for var, tname in schema.params:
             if tname not in known_types:
@@ -532,74 +530,66 @@ def ground(domain: DomainAst, problem: ProblemAst, default_cost: int = 1) -> Mod
 # Native fixture format
 
 
-class FixtureAction(NamedTuple):
-    """An action as written in a fixture, before cost-variant splitting."""
-
-    name: str
-    cost: int
-    cheap_cost: int | None
-    preconditions: tuple[Fact, ...]
-    cheap_conditions: tuple[Fact, ...]
-    add_effects: tuple[Fact, ...]
-    delete_effects: tuple[Fact, ...]
-
-
-class FixtureModel(NamedTuple):
-    name: str
-    init: tuple[Fact, ...]
-    goal: tuple[Fact, ...]
-    actions: tuple[FixtureAction, ...]
-
-
 def _split_fact_line(rest: str, where: str, lineno: int) -> tuple[list[str], list[str]]:
     """Split ``f1 f2 (c1 c2)`` into plain tokens and parenthesized tokens."""
-    plain: list[str] = []
-    cond: list[str] = []
-    rest = rest.strip()
-    if "(" in rest:
-        before, _, tail = rest.partition("(")
-        inner, sep, after = tail.partition(")")
-        if not sep or after.strip():
-            raise ParseError(f"malformed parenthesized group in {where}", lineno, 1)
-        plain = before.split()
-        cond = inner.split()
-    else:
-        plain = rest.split()
-    return plain, cond
+    before, paren, tail = rest.partition("(")
+    inner, sep, after = tail.partition(")")
+    if paren and (not sep or after.strip()):
+        raise ParseError(f"malformed parenthesized group in {where}", lineno, 1)
+    return before.split(), inner.split()
 
 
-def parse_fixture(text: str) -> dict[str, FixtureModel]:
-    """Parse the line-oriented fixture format.
+def parse_fixture(text: str) -> dict[str, Model]:
+    """Parse the line-oriented fixture format into ground models.
 
     ``model NAME`` opens a named model (a file with no header defines a
     single model named ``model``); within a model, ``init:``/``goal:`` list
-    facts and ``action NAME COST [(CHEAPCOST)]`` opens an action whose
-    ``pre:`` line may carry a parenthesized group of extra facts under which
-    the cheap cost applies.
+    facts and ``action NAME COST [(CHEAPCOST)]`` opens an action with at
+    most one ``pre:``, ``eff+:`` and ``eff-:`` line each.  The ``pre:`` line
+    of an action with a cheap cost may end in a parenthesized group of
+    facts, and the action becomes two: the base one, and a ``NAME-cheap``
+    variant whose preconditions also include the group's facts and whose
+    cost is the cheap cost.
     """
-    models: dict[str, FixtureModel] = {}
+    models: dict[str, Model] = {}
     name: str | None = None
     implicit = False
     init: list[Fact] = []
     goal: list[Fact] = []
-    actions: list[FixtureAction] = []
-    current: dict | None = None
+    actions: list[GroundAction] = []
+    declared: set[str] = set()
+    cheap_lines: dict[str, int] = {}  # action with a cheap cost -> its header line
+    header: tuple[str, int, int | None] | None = None  # the open action's name, cost, cheap cost
+    facts_of: dict[str, frozenset[Fact]] = {}  # the open action's lines by key; "(pre)" the group
 
     def close_action() -> None:
-        nonlocal current
-        if current is not None:
-            actions.append(FixtureAction(**current))
-            current = None
+        nonlocal header
+        if header is not None:
+            aname, cost, cheap = header
+            pre, add, dele = (facts_of.get(key, _NO_FACTS) for key in ("pre", "eff+", "eff-"))
+            actions.append(GroundAction(aname, pre, add, dele, cost))
+            if cheap is not None:
+                cond = facts_of.get("(pre)", _NO_FACTS)
+                actions.append(GroundAction(f"{aname}-cheap", pre | cond, add, dele, cheap))
+            header = None
+            facts_of.clear()
 
-    def close_model(lineno: int) -> None:
-        nonlocal init, goal, actions
+    def close_model() -> None:
         close_action()
         if name is None:
             return
-        if name in models:
-            raise ParseError(f"duplicate model name {name!r}", lineno, 1)
-        models[name] = FixtureModel(name, tuple(init), tuple(goal), tuple(actions))
-        init, goal, actions = [], [], []
+        for aname, line in cheap_lines.items():
+            variant = f"{aname}-cheap"
+            if variant in declared:
+                raise ParseError(
+                    f"action {aname}: variant name {variant!r} collides with a declared action", line, 1
+                )
+        universe = set(init) | set(goal)
+        for act in actions:
+            universe |= act.preconditions | act.add_effects | act.delete_effects
+        models[name] = Model(universe, actions, init, goal)  # copies all four
+        for per_model in (init, goal, actions, declared, cheap_lines):
+            per_model.clear()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -609,8 +599,10 @@ def parse_fixture(text: str) -> dict[str, FixtureModel]:
         if lowered.startswith("model "):
             if implicit:
                 raise ParseError("content before the first model header", lineno, 1)
-            close_model(lineno)
+            close_model()
             name = lowered.split(None, 1)[1].strip()
+            if name in models:
+                raise ParseError(f"duplicate model name {name!r}", lineno, 1)
             continue
         if name is None:
             name = "model"
@@ -629,17 +621,11 @@ def parse_fixture(text: str) -> dict[str, FixtureModel]:
                 if not (inner.startswith("(") and inner.endswith(")") and inner[1:-1].isdigit()):
                     raise ParseError(f"action {aname}: malformed cheap cost {inner!r}", lineno, 1)
                 cheap = int(inner[1:-1])
+                cheap_lines[aname] = lineno
             elif len(parts) > 4:
                 raise ParseError(f"action {aname}: trailing content", lineno, 1)
-            current = {
-                "name": aname,
-                "cost": int(parts[2]),
-                "cheap_cost": cheap,
-                "preconditions": (),
-                "cheap_conditions": (),
-                "add_effects": (),
-                "delete_effects": (),
-            }
+            header = (aname, int(parts[2]), cheap)
+            declared.add(aname)
             continue
         key, sep, rest = lowered.partition(":")
         if not sep:
@@ -653,72 +639,36 @@ def parse_fixture(text: str) -> dict[str, FixtureModel]:
             else:
                 goal.extend(facts)
         elif key in ("pre", "eff+", "eff-"):
-            if current is None:
+            if header is None:
                 raise ParseError(f"{key}: outside an action block", lineno, 1)
+            if key in facts_of:
+                raise ParseError(f"action {header[0]}: repeated {key}: line", lineno, 1)
             plain, cond = _split_fact_line(rest, key, lineno)
-            plain_facts = tuple(_parse_fixture_fact(t, lineno) for t in plain)
-            cond_facts = tuple(_parse_fixture_fact(t, lineno) for t in cond)
-            if key == "pre":
-                current["preconditions"] = plain_facts
-                current["cheap_conditions"] = cond_facts
-            elif cond:
+            if cond and key != "pre":
                 raise ParseError(f"{key}: parenthesized groups only belong on pre lines", lineno, 1)
-            elif key == "eff+":
-                current["add_effects"] = plain_facts
-            else:
-                current["delete_effects"] = plain_facts
+            if cond and header[2] is None:
+                raise ParseError(
+                    f"action {header[0]}: conditional facts given without a cheap cost", lineno, 1
+                )
+            facts_of[key] = frozenset(_parse_fixture_fact(t, lineno) for t in plain)
+            if cond:
+                facts_of["(pre)"] = frozenset(_parse_fixture_fact(t, lineno) for t in cond)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno, 1)
-    close_model(0)
+    close_model()
     if not models:
         raise ParseError("fixture defines no model")
     return models
 
 
 def _parse_fixture_fact(token: str, lineno: int) -> Fact:
-    from .model import parse_fact
-
     try:
         return parse_fact(token)
     except ModelError as exc:
         raise ParseError(str(exc), lineno, 1) from None
 
 
-def split_conditional_costs(fixture: FixtureModel) -> Model:
-    """Turn a fixture model into a ground model.
-
-    An action with a cheap cost becomes two actions: the base one, and a
-    ``<name>-cheap`` variant whose preconditions additionally include the
-    parenthesized condition facts and whose cost is the cheap cost.
-    """
-    names = {a.name for a in fixture.actions}
-    actions: list[GroundAction] = []
-    for act in fixture.actions:
-        if act.cheap_cost is None and act.cheap_conditions:
-            raise ParseError(
-                f"action {act.name}: conditional facts given without a cheap cost"
-            )
-        base_pre = frozenset(act.preconditions)
-        add = frozenset(act.add_effects)
-        dele = frozenset(act.delete_effects)
-        actions.append(GroundAction(act.name, base_pre, add, dele, act.cost))
-        if act.cheap_cost is not None:
-            variant = f"{act.name}-cheap"
-            if variant in names:
-                raise ParseError(
-                    f"action {act.name}: variant name {variant!r} collides with a declared action"
-                )
-            actions.append(
-                GroundAction(variant, base_pre | frozenset(act.cheap_conditions), add, dele, act.cheap_cost)
-            )
-    universe: set[Fact] = set(fixture.init) | set(fixture.goal)
-    for act in actions:
-        universe |= act.preconditions | act.add_effects | act.delete_effects
-    return Model(frozenset(universe), tuple(actions), frozenset(fixture.init), frozenset(fixture.goal))
-
-
 def load_fixture(path: str | Path) -> dict[str, Model]:
     """Read a fixture file and return its models, cost variants split."""
-    text = Path(path).read_text()
-    return {name: split_conditional_costs(fm) for name, fm in parse_fixture(text).items()}
+    return parse_fixture(Path(path).read_text())
 

@@ -1,10 +1,11 @@
 """Parser, grounder, and fixture-format tests."""
 
+import re
 import sys
 
 import pytest
 
-from pegplan import Fact, ground, load_fixture, optimal_plan, pddl, split_conditional_costs
+from pegplan import Fact, ground, load_fixture, optimal_plan, pddl
 from pegplan.model import _NO_FACTS
 from pegplan.pddl import (
     GroundingError,
@@ -239,7 +240,7 @@ class TestFixtureFormat:
             goal: delivered
             """
         )
-        model = split_conditional_costs(models["model"])
+        model = models["model"]
         names = sorted(a.name for a in model.actions)
         assert names == ["ship", "ship-cheap"]
         assert model.action("ship").cost == 9
@@ -261,7 +262,7 @@ class TestFixtureFormat:
             parse_fixture("init: p\nmodel robot\ngoal: p\n")
 
     def test_duplicate_model_names_rejected(self):
-        with pytest.raises(ParseError, match="duplicate model name"):
+        with pytest.raises(ParseError, match="line 3, .*duplicate model name"):
             parse_fixture("model a\ngoal: p\nmodel a\ngoal: p\n")
 
     def test_malformed_cheap_cost_rejected(self):
@@ -269,9 +270,8 @@ class TestFixtureFormat:
             parse_fixture("action a 5 (x)\n  eff+: p\n")
 
     def test_conditions_without_cheap_cost_rejected(self):
-        models = parse_fixture("action a 5\n  pre: p (q)\n  eff+: r\ngoal: r\n")
-        with pytest.raises(ParseError, match="without a cheap cost"):
-            split_conditional_costs(models["model"])
+        with pytest.raises(ParseError, match="line 2, .*without a cheap cost"):
+            parse_fixture("action a 5\n  pre: p (q)\n  eff+: r\ngoal: r\n")
 
     def test_parenthesized_group_outside_pre_rejected(self):
         with pytest.raises(ParseError, match="only belong on pre lines"):
@@ -287,7 +287,18 @@ class TestFixtureFormat:
         goal: p
         """
         with pytest.raises(ParseError, match="collides"):
-            split_conditional_costs(parse_fixture(text)["model"])
+            parse_fixture(text)
+
+    def test_variant_declared_before_its_cheap_action_rejected(self):
+        text = "action a-cheap 2\n  eff+: p\naction a 5 (1)\n  eff+: p\ngoal: p\n"
+        with pytest.raises(ParseError, match="line 3, .*'a-cheap' collides"):
+            parse_fixture(text)
+
+    @pytest.mark.parametrize("key", ["pre", "eff+", "eff-"])
+    def test_repeated_action_line_rejected(self, key):
+        text = f"action a 1\n  {key}: p\n  {key}: q\ngoal: p\n"
+        with pytest.raises(ParseError, match=f"line 3, .*repeated {re.escape(key)}: line"):
+            parse_fixture(text)
 
     def test_effect_lines_outside_action_rejected(self):
         with pytest.raises(ParseError, match="outside an action"):

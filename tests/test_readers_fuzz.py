@@ -1,7 +1,8 @@
 """Fuzzed inputs to every reader end in a documented error, never a crash.
 
 The PDDL readers may raise only ``ParseError`` and ``GroundingError``; the
-fact, feature and change readers only ``ModelError``; ``ValueError`` is
+fixture reader only ``ParseError`` and ``ModelError``; the fact, feature and
+change readers only ``ModelError``; ``ValueError`` is
 allowed everywhere.  ``pegplan validate`` reading a change list from stdin
 (text lines or JSON) must return 0, or 1 with exactly one line on stderr.
 Examples are derandomized and bounded, so every run tries the same inputs.
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from pegplan import parse_change, parse_fact, parse_feature
 from pegplan.cli import dispatch
 from pegplan.model import ModelError
-from pegplan.pddl import GroundingError, ParseError, ground, parse_domain, parse_problem
+from pegplan.pddl import GroundingError, ParseError, ground, parse_domain, parse_fixture, parse_problem
 
 from conftest import BENCHMARKS
 
@@ -44,6 +45,11 @@ PDDL_TOKENS = (
     ":action", ":parameters", ":precondition", ":effect", "and", "not", "increase",
     "?x", "?y", "-", "t", "object", "p", "q", "a", "o1", "o2", ":objects", ":init",
     ":goal", ":metric", "minimize", "=", "0", "1", "-1", "either", "forall", ";c\n", "\n",
+)
+FIXTURE_TOKENS = (
+    "model", "robot", "human", "action", "a", "a-cheap", "b", "init:", "goal:", "pre:",
+    "eff+:", "eff-:", "pre", "p", "q", "r(x,y)", "0", "1", "5", "-1", "(", ")", "(2)", "(x)",
+    "#", ":", "\n", "\n", "\n",
 )
 FEATURE_PIECES = (
     "init", "goal", "-has-", "precondition-", "add-effect-", "delete-effect-", "cost-",
@@ -104,6 +110,13 @@ def test_parse_domain(text):
 def test_parse_problem_and_ground(text):
     domain = parse_domain(DOMAIN)
     _documented_only(lambda t: ground(domain, parse_problem(t)), text)
+
+
+@FUZZ
+@given(_soup(FIXTURE_TOKENS) | st.text(max_size=40))
+def test_parse_fixture(text):
+    with contextlib.suppress(ParseError, ModelError, ValueError):
+        parse_fixture(text)
 
 
 @FUZZ
