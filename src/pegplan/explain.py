@@ -138,9 +138,11 @@ class ReconciliationProblem:
         robot_plan: Plan | Sequence[str] | None = None,
         node_budget: int | None = None,
     ):
-        if {a.name for a in robot.actions} != {a.name for a in human.actions}:
+        differ = {a.name for a in robot.actions} ^ {a.name for a in human.actions}
+        if differ:
             raise UniverseMismatchError(
-                "robot and human models must share an action-name universe"
+                "robot and human models must share an action-name universe: "
+                + ", ".join(sorted(differ))
             )
         universe = robot.facts | human.facts
         self.robot = robot.with_facts(universe)

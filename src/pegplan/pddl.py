@@ -5,11 +5,21 @@ Two input dialects are supported: a small typed-STRIPS slice of PDDL
 ``total-cost``), and a line-oriented fixture format for hand-written ground
 models with optional conditional costs.  Both produce :class:`~pegplan.model.Model`
 values.
+
+PDDL goes through four layers: a regular expression cuts the text into
+tokens (atoms, lowercased and interned, with their line and column);
+:func:`_parse_sexp` nests them into forms, plain lists that keep the
+position of their ``(``; :func:`parse_domain` and :func:`parse_problem` read
+the forms into ASTs; and :func:`ground` turns a domain and a problem into a
+model.  The first three layers raise :class:`ParseError` with a source
+position; grounding raises :class:`GroundingError`.
 """
 
 from __future__ import annotations
 
+import re
 import sys
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,7 +59,11 @@ class GroundingError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# S-expression layer
+# Tokens and forms
+
+# One token per match: a newline, a comment, a parenthesis or an atom.  The
+# only characters no match covers are the separators space, tab and CR.
+_TOKENS = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
 class _Token(NamedTuple):
@@ -58,126 +72,100 @@ class _Token(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            yield _Token(ch, line, col)
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        # Interned: the models read in one process share one string per
-        # identifier, however often their text is parsed.
-        yield _Token(sys.intern(text[start:i].lower()), line, start_col)
+class _Form(list):
+    """A parenthesized form: its tokens and forms, at the position of its '('."""
 
+    __slots__ = ("line", "col")
 
-class _Sexp:
-    """Parenthesized tree with positions kept for error messages."""
-
-    __slots__ = ("items", "atom", "line", "col")
-
-    def __init__(self, items=None, atom=None, line=0, col=0):
-        self.items = items
-        self.atom = atom
+    def __init__(self, line: int, col: int):
         self.line = line
         self.col = col
 
-    @property
-    def is_atom(self) -> bool:
-        return self.atom is not None
 
-    def __iter__(self):
-        return iter(self.items or ())
+def _tokenize(text: str) -> Iterator[_Token]:
+    line, line_start = 1, 0
+    for match in _TOKENS.finditer(text):
+        tok = match.group()
+        if tok == "\n":
+            line += 1
+            line_start = match.end()
+        elif tok[0] != ";":
+            # Interned: the models read in one process share one string per
+            # identifier, however often their text is parsed.
+            yield _Token(sys.intern(tok.lower()), line, match.start() - line_start + 1)
 
-    def __len__(self):
-        return len(self.items or ())
 
-    def __getitem__(self, idx):
-        return self.items[idx]
-
-
-def _parse_sexp(text: str) -> _Sexp:
+def _parse_sexp(text: str) -> _Token | _Form:
     """Parse exactly one top-level form.
 
-    Iterative, with an explicit stack of open lists, so nesting depth is
+    Iterative, with an explicit stack of open forms, so nesting depth is
     bounded by memory rather than by Python's recursion limit.
     """
-    tokens = list(_tokenize(text))
-    stack: list[tuple[_Token, list[_Sexp]]] = []  # open lists, innermost last
-    for pos, tok in enumerate(tokens):
+    tokens = _tokenize(text)
+    stack: list[_Form] = []  # open forms, innermost last
+    for tok in tokens:
         if tok.text == "(":
-            stack.append((tok, []))
+            stack.append(_Form(tok.line, tok.col))
             continue
         if tok.text == ")":
             if not stack:
                 raise ParseError("unmatched ')'", tok.line, tok.col)
-            opener, items = stack.pop()
-            sexp = _Sexp(items=items, line=opener.line, col=opener.col)
+            node = stack.pop()
         else:
-            sexp = _Sexp(atom=tok.text, line=tok.line, col=tok.col)
+            node = tok
         if stack:
-            stack[-1][1].append(sexp)
+            stack[-1].append(node)
             continue
-        if pos + 1 < len(tokens):
-            extra = tokens[pos + 1]
+        extra = next(tokens, None)
+        if extra is not None:
             raise ParseError("trailing content after top-level form", extra.line, extra.col)
-        return sexp
+        return node
     if stack:
-        opener = stack[-1][0]
-        raise ParseError("unbalanced parentheses", opener.line, opener.col)
+        raise ParseError("unbalanced parentheses", stack[-1].line, stack[-1].col)
     raise ParseError("unexpected end of input: unbalanced parentheses")
 
 
-def _head(sexp: _Sexp) -> str:
-    if sexp.is_atom or len(sexp) == 0 or not sexp[0].is_atom:
-        raise ParseError("expected a named form", sexp.line, sexp.col)
-    return sexp[0].atom
+def _is_form(node: _Token | _Form, head: str | None = None) -> bool:
+    """Whether ``node`` is a form, and with ``head``, one whose first item is that atom."""
+    if not isinstance(node, _Form):
+        return False
+    return head is None or (bool(node) and not _is_form(node[0]) and node[0].text == head)
 
 
-def _parse_typed_list(items: list[_Sexp], what: str) -> list[tuple[str, str]]:
+def _head(node: _Token | _Form, message: str = "expected a named form") -> str:
+    if not _is_form(node) or not node or _is_form(node[0]):
+        raise ParseError(message, node.line, node.col)
+    return node[0].text
+
+
+def _parse_typed_list(items: Iterable[_Token | _Form], what: str) -> list[tuple[str, str]]:
     """Parse ``a b - t c - s`` into (name, type) pairs; untyped means object."""
     pairs: list[tuple[str, str]] = []
-    pending: list[_Sexp] = []
-    i = 0
-    while i < len(items):
-        item = items[i]
-        if not item.is_atom:
+    pending: list[str] = []
+    items = iter(items)
+    for item in items:
+        if _is_form(item):
             raise ParseError(f"expected a name in {what} list", item.line, item.col)
-        if item.atom == "-":
-            if i + 1 >= len(items) or not items[i + 1].is_atom:
+        if item.text == "-":
+            tname = next(items, None)
+            if tname is None or _is_form(tname):
                 raise ParseError(f"missing type after '-' in {what} list", item.line, item.col)
-            tname = items[i + 1].atom
-            for p in pending:
-                pairs.append((p.atom, tname))
+            pairs += ((name, tname.text) for name in pending)
             pending = []
-            i += 2
-            continue
-        pending.append(item)
-        i += 1
-    for p in pending:
-        pairs.append((p.atom, "object"))
+        else:
+            pending.append(item.text)
+    pairs += ((name, "object") for name in pending)
     return pairs
+
+
+def _parse_define(text: str, kind: str) -> tuple[_Form, str, list[_Token | _Form]]:
+    """Read ``(define (KIND NAME) SECTION...)``: the root form, NAME and the sections."""
+    root = _parse_sexp(text)
+    if _head(root) != "define":
+        raise ParseError(f"expected (define ({kind} ...) ...)", root.line, root.col)
+    if len(root) < 2 or _head(root[1]) != kind or len(root[1]) != 2 or _is_form(root[1][1]):
+        raise ParseError(f"expected ({kind} <name>)", root.line, root.col)
+    return root, root[1][1].text, root[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -221,122 +209,97 @@ class ProblemAst(NamedTuple):
     minimize_total_cost: bool = False
 
 
-def _parse_atom(sexp: _Sexp) -> LiftedAtom:
-    if sexp.is_atom:
-        raise ParseError("expected an atom in parentheses", sexp.line, sexp.col)
-    parts = []
-    for item in sexp:
-        if not item.is_atom:
+def _parse_atom(node: _Token | _Form) -> LiftedAtom:
+    if not _is_form(node):
+        raise ParseError("expected an atom in parentheses", node.line, node.col)
+    for item in node:
+        if _is_form(item):
             raise ParseError("nested form where an atom was expected", item.line, item.col)
-        parts.append(item.atom)
-    if not parts:
-        raise ParseError("empty atom", sexp.line, sexp.col)
-    return LiftedAtom(parts[0], tuple(parts[1:]))
+    if not node:
+        raise ParseError("empty atom", node.line, node.col)
+    return LiftedAtom(node[0].text, tuple(item.text for item in node[1:]))
 
 
-def _parse_conjunction(sexp: _Sexp) -> list[_Sexp]:
+def _parse_conjunction(node: _Token | _Form) -> list[_Token | _Form]:
     """Unwrap ``(and ...)`` or treat a single form as a one-element conjunction."""
-    if not sexp.is_atom and len(sexp) > 0 and sexp[0].is_atom and sexp[0].atom == "and":
-        return list(sexp)[1:]
-    if not sexp.is_atom and len(sexp) == 0:
-        return []
-    return [sexp]
+    if _is_form(node, "and"):
+        return node[1:]
+    return [node] if node else []  # () is the empty conjunction; a token is never empty
 
 
-def _parse_action(sexp: _Sexp) -> ActionSchema:
-    items = list(sexp)
-    if len(items) < 2 or not items[1].is_atom:
-        raise ParseError("expected action name", sexp.line, sexp.col)
-    name = items[1].atom
+def _parse_action(form: _Form) -> ActionSchema:
+    if len(form) < 2 or _is_form(form[1]):
+        raise ParseError("expected action name", form.line, form.col)
+    name = form[1].text
     params: tuple[tuple[str, str], ...] = ()
     pre: list[LiftedAtom] = []
     add: list[LiftedAtom] = []
     dele: list[LiftedAtom] = []
     cost: int | None = None
-    i = 2
-    while i < len(items):
-        key = items[i]
-        if not key.is_atom or not key.atom.startswith(":"):
+    items = iter(form[2:])
+    for key in items:
+        if _is_form(key) or not key.text.startswith(":"):
             raise ParseError("expected :parameters/:precondition/:effect", key.line, key.col)
-        if i + 1 >= len(items):
-            raise ParseError(f"missing value after {key.atom}", key.line, key.col)
-        value = items[i + 1]
-        if key.atom == ":parameters":
-            params = tuple(_parse_typed_list(list(value), "parameter"))
-        elif key.atom == ":precondition":
+        value = next(items, None)
+        if value is None:
+            raise ParseError(f"missing value after {key.text}", key.line, key.col)
+        if key.text == ":parameters":
+            # an atom in place of the list declares no parameters
+            params = tuple(_parse_typed_list(value if _is_form(value) else (), "parameter"))
+        elif key.text == ":precondition":
             for part in _parse_conjunction(value):
-                if not part.is_atom and len(part) > 0 and part[0].is_atom and part[0].atom == "not":
+                if _is_form(part, "not"):
                     raise ParseError(
                         f"negative preconditions are not supported (action {name})",
                         part.line,
                         part.col,
                     )
                 pre.append(_parse_atom(part))
-        elif key.atom == ":effect":
+        elif key.text == ":effect":
             for part in _parse_conjunction(value):
-                if part.is_atom:
+                if not _is_form(part):
                     raise ParseError("expected effect form", part.line, part.col)
-                head = part[0].atom if len(part) > 0 and part[0].is_atom else None
-                if head == "not":
+                if _is_form(part, "not"):
                     if len(part) != 2:
                         raise ParseError("malformed (not ...) effect", part.line, part.col)
                     dele.append(_parse_atom(part[1]))
-                elif head == "increase":
-                    if (
-                        len(part) != 3
-                        or part[1].is_atom
-                        or len(part[1]) != 1
-                        or not part[1][0].is_atom
-                        or part[1][0].atom != "total-cost"
-                    ):
+                elif _is_form(part, "increase"):
+                    if len(part) != 3 or not _is_form(part[1], "total-cost") or len(part[1]) != 1:
                         raise ParseError(
-                            "only (increase (total-cost) <int>) is supported",
-                            part.line,
-                            part.col,
+                            "only (increase (total-cost) <int>) is supported", part.line, part.col
                         )
                     amount = part[2]
-                    if not amount.is_atom or not amount.atom.isdigit():
+                    if _is_form(amount) or not amount.text.isdigit():
                         raise ParseError(
-                            f"non-constant total-cost increase in action {name}",
-                            part.line,
-                            part.col,
+                            f"non-constant total-cost increase in action {name}", part.line, part.col
                         )
-                    cost = int(amount.atom)
+                    cost = int(amount.text)
                 else:
                     add.append(_parse_atom(part))
         else:
-            raise ParseError(f"unsupported action section {key.atom}", key.line, key.col)
-        i += 2
+            raise ParseError(f"unsupported action section {key.text}", key.line, key.col)
     return ActionSchema(name, params, tuple(pre), tuple(add), tuple(dele), cost)
 
 
 def parse_domain(text: str) -> DomainAst:
     """Parse a typed-STRIPS domain with optional constant action costs."""
-    root = _parse_sexp(text)
-    if _head(root) != "define":
-        raise ParseError("expected (define (domain ...) ...)", root.line, root.col)
-    items = list(root)[1:]
-    if not items or _head(items[0]) != "domain" or len(items[0]) != 2 or not items[0][1].is_atom:
-        raise ParseError("expected (domain <name>)", root.line, root.col)
-    name = items[0][1].atom
+    _, name, sections = _parse_define(text, "domain")
     requirements: tuple[str, ...] = ()
     types: tuple[str, ...] = ()
     predicates: list[PredicateDecl] = []
     actions: list[ActionSchema] = []
     has_total_cost = False
-    for section in items[1:]:
+    for section in sections:
         head = _head(section)
         if head == ":requirements":
-            reqs = []
-            for item in list(section)[1:]:
-                if not item.is_atom:
+            for item in section[1:]:
+                if _is_form(item):
                     raise ParseError("malformed requirement", item.line, item.col)
-                if item.atom not in _SUPPORTED_REQUIREMENTS:
-                    raise ParseError(f"unsupported requirement {item.atom}", item.line, item.col)
-                reqs.append(item.atom)
-            requirements = tuple(reqs)
+                if item.text not in _SUPPORTED_REQUIREMENTS:
+                    raise ParseError(f"unsupported requirement {item.text}", item.line, item.col)
+            requirements = tuple(item.text for item in section[1:])
         elif head == ":types":
-            pairs = _parse_typed_list(list(section)[1:], "type")
+            pairs = _parse_typed_list(section[1:], "type")
             for tname, parent in pairs:
                 if parent != "object":
                     raise ParseError(
@@ -346,14 +309,13 @@ def parse_domain(text: str) -> DomainAst:
                     )
             types = tuple(t for t, _ in pairs)
         elif head == ":predicates":
-            for decl in list(section)[1:]:
-                if decl.is_atom or len(decl) == 0 or not decl[0].is_atom:
-                    raise ParseError("malformed predicate declaration", decl.line, decl.col)
-                params = tuple(_parse_typed_list(list(decl)[1:], "predicate parameter"))
-                predicates.append(PredicateDecl(decl[0].atom, params))
+            for decl in section[1:]:
+                pname = _head(decl, "malformed predicate declaration")
+                params = tuple(_parse_typed_list(decl[1:], "predicate parameter"))
+                predicates.append(PredicateDecl(pname, params))
         elif head == ":functions":
-            for decl in list(section)[1:]:
-                if decl.is_atom or len(decl) != 1 or not decl[0].is_atom or decl[0].atom != "total-cost":
+            for decl in section[1:]:
+                if not _is_form(decl, "total-cost") or len(decl) != 1:
                     raise ParseError("only the (total-cost) function is supported", decl.line, decl.col)
                 has_total_cost = True
         elif head == ":action":
@@ -365,29 +327,23 @@ def parse_domain(text: str) -> DomainAst:
 
 def parse_problem(text: str) -> ProblemAst:
     """Parse a problem file matching the supported domain fragment."""
-    root = _parse_sexp(text)
-    if _head(root) != "define":
-        raise ParseError("expected (define (problem ...) ...)", root.line, root.col)
-    items = list(root)[1:]
-    if not items or _head(items[0]) != "problem" or len(items[0]) != 2 or not items[0][1].is_atom:
-        raise ParseError("expected (problem <name>)", root.line, root.col)
-    name = items[0][1].atom
+    root, name, sections = _parse_define(text, "problem")
     domain = ""
     objects: tuple[tuple[str, str], ...] = ()
     init: list[LiftedAtom] = []
     goal: tuple[LiftedAtom, ...] = ()
     minimize = False
-    for section in items[1:]:
+    for section in sections:
         head = _head(section)
         if head == ":domain":
-            if len(section) != 2 or not section[1].is_atom:
+            if len(section) != 2 or _is_form(section[1]):
                 raise ParseError("malformed :domain", section.line, section.col)
-            domain = section[1].atom
+            domain = section[1].text
         elif head == ":objects":
-            objects = tuple(_parse_typed_list(list(section)[1:], "object"))
+            objects = tuple(_parse_typed_list(section[1:], "object"))
         elif head == ":init":
-            for item in list(section)[1:]:
-                if not item.is_atom and len(item) == 3 and item[0].is_atom and item[0].atom == "=":
+            for item in section[1:]:
+                if _is_form(item, "=") and len(item) == 3:
                     continue  # tolerate (= (total-cost) 0)
                 init.append(_parse_atom(item))
         elif head == ":goal":
@@ -395,14 +351,12 @@ def parse_problem(text: str) -> ProblemAst:
                 raise ParseError("malformed :goal", section.line, section.col)
             goal = tuple(_parse_atom(part) for part in _parse_conjunction(section[1]))
         elif head == ":metric":
-            parts = list(section)[1:]
             if (
-                len(parts) != 2
-                or not parts[0].is_atom
-                or parts[0].atom != "minimize"
-                or parts[1].is_atom
-                or len(parts[1]) != 1
-                or parts[1][0].atom != "total-cost"
+                len(section) != 3
+                or _is_form(section[1])
+                or section[1].text != "minimize"
+                or not _is_form(section[2], "total-cost")
+                or len(section[2]) != 1
             ):
                 raise ParseError("only (:metric minimize (total-cost)) is supported", section.line, section.col)
             minimize = True
@@ -440,10 +394,13 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     """Ground a domain/problem pair into a model.
 
     Grounded action names join the schema name and its arguments with
-    hyphens.  An action without ``(increase (total-cost) k)`` costs 1.
-    Actions whose preconditions can never hold (by static facts or
-    delete-relaxed reachability) are pruned; actions whose delete effects
-    overlap their add effects are normalized with the add winning.
+    hyphens; two different reachable actions that join to one name (schema
+    ``move-a`` over ``b`` and ``move`` over ``a b``) are a
+    :class:`GroundingError` that names both schemas.  An action without
+    ``(increase (total-cost) k)`` costs 1.  Actions whose preconditions can
+    never hold (by static facts or delete-relaxed reachability) are pruned;
+    actions whose delete effects overlap their add effects are normalized
+    with the add winning.
 
     Every model ground in a process shares one object per atom and per
     action name: facts come from one module-level table, and names are
@@ -479,9 +436,7 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     dynamic = {a.name for schema in domain.actions for a in schema.add_effects}
     dynamic |= {a.name for schema in domain.actions for a in schema.delete_effects}
 
-    from itertools import product
-
-    candidates: list[GroundAction] = []
+    candidates: list[tuple[GroundAction, str]] = []  # each with its schema's name
     for schema in domain.actions:
         cost = schema.cost if schema.cost is not None else 1
         pools = []
@@ -501,28 +456,30 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
                 continue
             dele = dele - add or _NO_FACTS  # add wins when an action both adds and deletes
             name = sys.intern("-".join((schema.name,) + combo))
-            candidates.append(GroundAction(name, pre, add, dele, cost))
+            candidates.append((GroundAction(name, pre, add, dele, cost), schema.name))
 
     # Delete-relaxed reachability: keep only actions that can ever fire.
     reachable = set(init_facts)
-    kept: dict[str, GroundAction] = {}
-    changed = True
-    while changed:
-        changed = False
-        for act in candidates:
-            if act.name in kept:
-                continue
-            if act.preconditions <= reachable:
-                kept[act.name] = act
-                new = act.add_effects - reachable
-                if new:
-                    reachable |= new
-                changed = True
-    actions = tuple(kept[name] for name in sorted(kept))
+    kept: dict[str, tuple[GroundAction, str]] = {}
+    grown = True
+    while grown:
+        grown = False
+        for act, schema_name in candidates:
+            if act.name not in kept and act.preconditions <= reachable:
+                kept[act.name] = act, schema_name
+                reachable |= act.add_effects
+                grown = True
+    for act, schema_name in candidates:
+        first, first_schema = kept.get(act.name, (act, schema_name))
+        if first != act and act.preconditions <= reachable:
+            raise GroundingError(
+                f"ground action {act.name!r} comes from two different actions, "
+                f"of schemas {first_schema} and {schema_name}"
+            )
+    actions = tuple(kept[name][0] for name in sorted(kept))
 
-    universe = frozenset(reachable) | goal_facts | init_facts
-    for act in actions:
-        universe |= act.preconditions | act.add_effects | act.delete_effects
+    # Kept actions need and add only reachable facts, and init is reachable.
+    universe = reachable.union(goal_facts, *(act.delete_effects for act in actions))
     return Model(universe, actions, init_facts, goal_facts)
 
 
@@ -559,18 +516,21 @@ def parse_fixture(text: str) -> dict[str, Model]:
     actions: list[GroundAction] = []
     declared: set[str] = set()
     cheap_lines: dict[str, int] = {}  # action with a cheap cost -> its header line
-    header: tuple[str, int, int | None] | None = None  # the open action's name, cost, cheap cost
+    header: tuple[str, int, int | None, int] | None = None  # the open action's name, costs, line
     facts_of: dict[str, frozenset[Fact]] = {}  # the open action's lines by key; "(pre)" the group
 
     def close_action() -> None:
         nonlocal header
         if header is not None:
-            aname, cost, cheap = header
+            aname, cost, cheap, lineno = header
             pre, add, dele = (facts_of.get(key, _NO_FACTS) for key in ("pre", "eff+", "eff-"))
-            actions.append(GroundAction(aname, pre, add, dele, cost))
-            if cheap is not None:
-                cond = facts_of.get("(pre)", _NO_FACTS)
-                actions.append(GroundAction(f"{aname}-cheap", pre | cond, add, dele, cheap))
+            try:
+                actions.append(GroundAction(aname, pre, add, dele, cost))
+                if cheap is not None:
+                    cond = facts_of.get("(pre)", _NO_FACTS)
+                    actions.append(GroundAction(f"{aname}-cheap", pre | cond, add, dele, cheap))
+            except ModelError as exc:
+                raise ParseError(str(exc), lineno, 1) from None
             header = None
             facts_of.clear()
 
@@ -613,6 +573,8 @@ def parse_fixture(text: str) -> dict[str, Model]:
             if len(parts) < 3:
                 raise ParseError("expected 'action NAME COST [(CHEAPCOST)]'", lineno, 1)
             aname = parts[1]
+            if aname in declared:
+                raise ParseError(f"duplicate action name {aname!r}", lineno, 1)
             if not parts[2].isdigit():
                 raise ParseError(f"action {aname}: cost must be an unsigned integer", lineno, 1)
             cheap: int | None = None
@@ -624,7 +586,7 @@ def parse_fixture(text: str) -> dict[str, Model]:
                 cheap_lines[aname] = lineno
             elif len(parts) > 4:
                 raise ParseError(f"action {aname}: trailing content", lineno, 1)
-            header = (aname, int(parts[2]), cheap)
+            header = (aname, int(parts[2]), cheap, lineno)
             declared.add(aname)
             continue
         key, sep, rest = lowered.partition(":")

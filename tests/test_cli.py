@@ -174,6 +174,42 @@ class TestExplain:
         assert err.startswith("error: --epsilon") and err.count("\n") == 1
 
 
+class TestPddlPair:
+    """``explain`` and ``validate`` over four PDDL files: the rover robot pair
+    and a human problem written next to it."""
+
+    @staticmethod
+    def _pair(tmp_path, drop):
+        text = (BENCHMARKS / "rover" / "p01.pddl").read_text()
+        assert drop in text
+        human = tmp_path / "human.pddl"
+        human.write_text(text.replace(drop, ""))
+        return [
+            "--robot-domain", ROVER_DOMAIN, "--robot-problem", ROVER_P01,
+            "--human-domain", ROVER_DOMAIN, "--human-problem", str(human),
+        ]
+
+    def test_explain_then_validate(self, tmp_path, capsys):
+        pair = self._pair(tmp_path, "(communicated_rock_data w2)")
+        out = tmp_path / "trace.json"
+        assert dispatch(["explain", *pair, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["changes"] == [
+            {"direction": "add", "feature": "goal-has-communicated_rock_data(w2)"}
+        ]
+        assert dispatch(["validate", str(out), *pair]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "changes": 1, "explanation": True, "complete": True,
+        }
+
+    def test_pruned_human_actions_are_a_one_line_error(self, tmp_path, capsys):
+        pair = self._pair(tmp_path, "(can_traverse rover0 w0 w1)")
+        assert dispatch(["explain", *pair]) == 1
+        assert capsys.readouterr().err == (
+            "error: robot and human models must share an action-name universe: "
+            "navigate-rover0-w0-w1\n"
+        )
+
+
 class TestValidate:
     def test_complete_change_list_exits_zero(self, tmp_path, capsys):
         changes = tmp_path / "changes.txt"

@@ -36,6 +36,98 @@ TOGGLER_PROBLEM = """
 """
 
 
+GROUND_PROBLEM = "(define (problem q) (:domain d) (:objects o - t) (:init (p o)) (:goal (p o)))"
+
+
+def _ground_domain(text):
+    return ground(parse_domain(text), parse_problem(GROUND_PROBLEM))
+
+
+READERS = {
+    "domain": parse_domain,
+    "problem": parse_problem,
+    "ground": _ground_domain,  # the domain text, ground against GROUND_PROBLEM
+    "fixture": parse_fixture,
+}
+D = "(define (domain d) "
+P = "(define (problem q) (:domain d) "
+A = D + "(:predicates (p)) (:action a "
+TYPED = "(define (domain d) (:types t) (:predicates (p ?x - t))\n  (:action a :parameters "
+
+# (reader, text, message, line, column); line and column are None for the
+# grounder's errors, which carry no source position.
+REJECTIONS = [
+    ("domain", D + "(:types a (b)))", "expected a name in type list", 1, 30),
+    ("domain", D + "(:types a -))", "missing type after '-' in type list", 1, 30),
+    ("domain", D + "(:types a - (b)))", "missing type after '-' in type list", 1, 30),
+    ("problem", P + "(:objects o1 o2 -))", "missing type after '-' in object list", 1, 49),
+    ("domain", A + ":parameters (?x - (t))))", "missing type after '-' in parameter list", 1, 65),
+    ("problem", P + "(:init p))", "expected an atom in parentheses", 1, 40),
+    ("problem", P + "(:init (p (q))))", "nested form where an atom was expected", 1, 43),
+    ("problem", P + "(:init ()))", "empty atom", 1, 40),
+    ("domain", "; header\n(define (domain d)\n\t(:requirements\r :strips :adl))",
+     "unsupported requirement :adl", 3, 26),
+    ("domain", D + "(:action))", "expected action name", 1, 20),
+    ("domain", D + "(:action (a)))", "expected action name", 1, 20),
+    ("domain", A + ":parameters () foo (p)))", "expected :parameters/:precondition/:effect", 1, 64),
+    ("domain", A + "(:precondition) (p)))", "expected :parameters/:precondition/:effect", 1, 49),
+    ("domain", A + ":parameters))", "missing value after :parameters", 1, 49),
+    ("domain", A + ":effect (and p)))", "expected effect form", 1, 62),
+    ("domain", A + ":effect (not (p) (p))))", "malformed (not ...) effect", 1, 57),
+    ("domain", A + ":effect (increase (cost) 1)))",
+     "only (increase (total-cost) <int>) is supported", 1, 57),
+    ("domain", A + ":effect (increase (total-cost))))",
+     "only (increase (total-cost) <int>) is supported", 1, 57),
+    ("domain", A + ":duration 1))", "unsupported action section :duration", 1, 49),
+    ("domain", "(domain d)", "expected (define (domain ...) ...)", 1, 1),
+    ("domain", "(define (problem d))", "expected (domain <name>)", 1, 1),
+    ("domain", "(define)", "expected (domain <name>)", 1, 1),
+    ("domain", "(define (domain d e))", "expected (domain <name>)", 1, 1),
+    ("domain", "(define (domain (d)))", "expected (domain <name>)", 1, 1),
+    ("problem", "(problem q)", "expected (define (problem ...) ...)", 1, 1),
+    ("problem", "(define (domain d))", "expected (problem <name>)", 1, 1),
+    ("problem", "(define (problem))", "expected (problem <name>)", 1, 1),
+    ("domain", D + "(:requirements :strips (:typing)))", "malformed requirement", 1, 43),
+    ("domain", D + "(:predicates p))", "malformed predicate declaration", 1, 33),
+    ("domain", D + "(:predicates ((p))))", "malformed predicate declaration", 1, 33),
+    ("domain", D + "(:functions (cost)))", "only the (total-cost) function is supported", 1, 32),
+    ("domain", D + "(:functions (total-cost) total-cost))",
+     "only the (total-cost) function is supported", 1, 45),
+    ("problem", "(define (problem q) (:domain))", "malformed :domain", 1, 21),
+    ("problem", "(define (problem q) (:domain (d)))", "malformed :domain", 1, 21),
+    ("problem", P + "(:goal))", "malformed :goal", 1, 33),
+    ("problem", P + "(:goal (p) (p)))", "malformed :goal", 1, 33),
+    ("problem", P + "(:metric maximize (total-cost)))",
+     "only (:metric minimize (total-cost)) is supported", 1, 33),
+    ("problem", P + "(:metric minimize total-cost))",
+     "only (:metric minimize (total-cost)) is supported", 1, 33),
+    ("problem", P + "(:metric minimize (cost)))",
+     "only (:metric minimize (total-cost)) is supported", 1, 33),
+    ("domain", D + "(:constants c))", "unsupported domain section :constants", 1, 20),
+    ("problem", P + "(:requirements :strips))", "unsupported problem section :requirements", 1, 33),
+    ("ground", TYPED + "(?x - t)\n    :precondition (and (p ?x) (r ?x)) :effect (p ?x)))",
+     "unknown predicate 'r'", None, None),
+    ("ground", TYPED + "(?x - t) :precondition (p ?y) :effect (p ?x)))",
+     "unbound variable '?y' in p", None, None),
+    ("ground", TYPED + "(?x - car) :precondition (p ?x) :effect (p ?x)))",
+     "parameter ?x of action a has undeclared type 'car'", None, None),
+    ("fixture", "action a 5 (1)\n  pre: p (q\n  eff+: r\n", "malformed parenthesized group in pre", 2, 1),
+    ("fixture", "action a 5 (1)\n  pre: (q) p\n  eff+: r\n", "malformed parenthesized group in pre", 2, 1),
+    ("fixture", "init: p\naction a\n", "expected 'action NAME COST [(CHEAPCOST)]'", 2, 1),
+    ("fixture", "action a 1 (2) x\n", "action a: trailing content", 1, 1),
+]
+
+
+@pytest.mark.parametrize("reader, text, message, line, col", REJECTIONS)
+def test_rejection_message_and_position(reader, text, message, line, col):
+    with pytest.raises((ParseError, GroundingError)) as info:
+        READERS[reader](text)
+    exc = info.value
+    assert type(exc) is (GroundingError if reader == "ground" else ParseError)
+    assert (getattr(exc, "line", None), getattr(exc, "col", None)) == (line, col)
+    assert str(exc) == (message if line is None else f"line {line}, column {col}: {message}")
+
+
 class TestDomainParsing:
     def test_rover_domain_parses(self, rover_domain):
         assert rover_domain.name == "rover"
@@ -219,6 +311,23 @@ class TestGrounding:
         with pytest.raises(GroundingError, match="other"):
             ground(rover_domain, parse_problem(text))
 
+    def test_colliding_ground_action_names_rejected(self):
+        domain = """
+        (define (domain d)
+          (:predicates (p ?x) (q ?x ?y) (never))
+          (:action move-a :parameters (?x) :precondition (and) :effect (p ?x))
+          (:action move :parameters (?x ?y) :precondition (%s) :effect (q ?x ?y)))
+        """
+        problem = parse_problem("(define (problem q) (:domain d) (:objects a b) (:init) (:goal (p b)))")
+        with pytest.raises(GroundingError) as info:
+            ground(parse_domain(domain % "and"), problem)
+        assert str(info.value) == (
+            "ground action 'move-a-a' comes from two different actions, of schemas move-a and move"
+        )
+        # a colliding action that can never fire is pruned, as before
+        model = ground(parse_domain(domain % "never"), problem)
+        assert [a.name for a in model.actions] == ["move-a-a", "move-a-b"]
+
     def test_arity_mismatch_rejected(self, rover_domain):
         text = "(define (problem p) (:domain rover) (:init (available)) (:goal (available)))"
         with pytest.raises(GroundingError, match="arity"):
@@ -299,6 +408,23 @@ class TestFixtureFormat:
         text = f"action a 1\n  {key}: p\n  {key}: q\ngoal: p\n"
         with pytest.raises(ParseError, match=f"line 3, .*repeated {re.escape(key)}: line"):
             parse_fixture(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model a\naction x 1\n eff+: p\n eff-: p\ngoal: p\n",
+             "line 2, column 1: action x: add and delete effects overlap on p"),
+            ("action init 1\n", "line 1, column 1: action name 'init' is reserved"),
+            ("goal: p\naction a-has-b 1 (0)\n  eff+: p\n",
+             "line 2, column 1: invalid action name 'a-has-b': '-has-' is reserved"),
+            ("action x 1\n  eff+: p\naction x 2\n  eff+: p\ngoal: p\n",
+             "line 3, column 1: duplicate action name 'x'"),
+        ],
+    )
+    def test_invalid_action_is_a_parse_error_at_its_header(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_fixture(text)
+        assert str(info.value) == message
 
     def test_effect_lines_outside_action_rejected(self):
         with pytest.raises(ParseError, match="outside an action"):
