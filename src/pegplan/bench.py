@@ -206,12 +206,9 @@ def _perturb_and_explain(
         problem = ReconciliationProblem(robot, human, node_budget=node_budget)
         fields["human_unsolvable"] = not problem.plan_result(problem._human_state).solvable
         traces = tuple(
-            generate_progressive(
-                problem, metric=metric, variant=variant, epsilon=epsilon,
-                node_budget=node_budget,
-            )
+            generate_progressive(problem, metric=metric, variant=variant, epsilon=epsilon)
             if mode == "peg"
-            else generate_concise(problem, metric=metric, node_budget=node_budget)
+            else generate_concise(problem, metric=metric)
             for mode in modes
         )
     except BudgetExceededError as exc:

@@ -21,6 +21,7 @@ from typing import Callable
 from .bench import (
     DEFAULT_ELIGIBLE_KINDS,
     PerturbSpec,
+    Report,
     emit_csv,
     emit_json,
     run_comparison,
@@ -37,9 +38,9 @@ from .explain import (
     is_explanation,
 )
 from .metrics import MetricKind
-from .model import Model, ModelError, parse_change
+from .model import FeatureKind, Model, ModelError, parse_change
 from .pddl import GroundingError, ParseError, ground, parse_domain, parse_fixture, parse_problem
-from .planner import BudgetExceededError, PlanningError, optimal_plan
+from .planner import PlanningError, optimal_plan
 
 __all__ = ["dispatch", "main"]
 
@@ -130,48 +131,33 @@ def _read_text(path: str) -> str:
         raise _CliError(str(exc)) from None
 
 
-def _load_pddl_model(domain_path: str, problem_path: str) -> Model:
-    domain = parse_domain(_read_text(domain_path))
-    problem = parse_problem(_read_text(problem_path))
-    return ground(domain, problem)
-
-
-def _load_robot(args) -> Model:
+def _load_models(args, human: bool) -> list[Model]:
+    """The robot model, then with ``human`` the human model, read from
+    ``--fixture`` or from each role's PDDL domain and problem files.  A
+    fixture of one model gives the robot model whatever its name."""
+    roles = ("robot", "human") if human else ("robot",)
     if args.fixture:
-        models = _load_fixture(args.fixture)
-        if "robot" in models:
-            return models["robot"]
+        models = parse_fixture(_read_text(args.fixture))
+        if all(role in models for role in roles):
+            return [models[role] for role in roles]
+        if human:
+            raise _CliError(f"fixture {args.fixture} must define models named 'robot' and 'human'")
         if len(models) == 1:
-            return next(iter(models.values()))
+            return list(models.values())
+        found = ", ".join(sorted(models))
+        raise _CliError(f"fixture {args.fixture} defines no 'robot' model (found: {found})")
+    files = [(getattr(args, f"{role}_domain"), getattr(args, f"{role}_problem")) for role in roles]
+    if all(domain and problem for domain, problem in files):
+        return [
+            ground(parse_domain(_read_text(domain)), parse_problem(_read_text(problem)))
+            for domain, problem in files
+        ]
+    if human:
         raise _CliError(
-            f"fixture {args.fixture} defines no 'robot' model "
-            f"(found: {', '.join(sorted(models))})"
+            "expected --fixture or all of --robot-domain, --robot-problem, "
+            "--human-domain, --human-problem"
         )
-    if args.robot_domain and args.robot_problem:
-        return _load_pddl_model(args.robot_domain, args.robot_problem)
     raise _CliError("expected --fixture or both --robot-domain and --robot-problem")
-
-
-def _load_fixture(path: str) -> dict[str, Model]:
-    return parse_fixture(_read_text(path))
-
-
-def _load_pair(args) -> tuple[Model, Model]:
-    if args.fixture:
-        models = _load_fixture(args.fixture)
-        if "robot" not in models or "human" not in models:
-            raise _CliError(
-                f"fixture {args.fixture} must define models named 'robot' and 'human'"
-            )
-        return models["robot"], models["human"]
-    if args.robot_domain and args.robot_problem and args.human_domain and args.human_problem:
-        robot = _load_pddl_model(args.robot_domain, args.robot_problem)
-        human = _load_pddl_model(args.human_domain, args.human_problem)
-        return robot, human
-    raise _CliError(
-        "expected --fixture or all of --robot-domain, --robot-problem, "
-        "--human-domain, --human-problem"
-    )
 
 
 def _read_plan_file(path: str) -> tuple[str, ...]:
@@ -197,12 +183,6 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_plan_text(plan_actions: tuple[str, ...], cost: int) -> str:
-    lines = [f"({name})" for name in plan_actions]
-    lines.append(f"; cost = {cost}")
-    return "\n".join(lines) + "\n"
-
-
 def _trace_text(trace: ExplanationTrace) -> str:
     lines = [
         f"mode: {trace.mode}",
@@ -212,17 +192,10 @@ def _trace_text(trace: ExplanationTrace) -> str:
         f"complete: {str(trace.complete).lower()}",
     ]
     for step in trace.steps:
-        if step.change is None:
-            lines.append(
-                f"step 0: cost* = {step.cost_star}"
-                + ("" if step.solvable else " (unsolvable)")
-            )
-        else:
-            lines.append(
-                f"step {step.index}: {step.change.render()} -> cost* = {step.cost_star}"
-                + ("" if step.solvable else " (unsolvable)")
-                + f", rho = {step.rho}"
-            )
+        edit = "" if step.change is None else f" {step.change.render()} ->"
+        rho = "" if step.change is None else f", rho = {step.rho}"
+        unsolvable = "" if step.solvable else " (unsolvable)"
+        lines.append(f"step {step.index}:{edit} cost* = {step.cost_star}{unsolvable}{rho}")
     lines.append(
         f"search: {trace.expansions} expansions, {trace.generated} generated, "
         f"{trace.planner_calls} planner calls"
@@ -230,38 +203,30 @@ def _trace_text(trace: ExplanationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_output(args, trace: ExplanationTrace) -> str:
-    if args.format == "json":
-        return emit_json(trace)
-    if args.format == "csv":
-        return emit_csv(trace)
-    return _trace_text(trace)
+def _output(args, obj: ExplanationTrace | Report) -> None:
+    """Write a trace or a study's report in ``args.format``."""
+    emit = {"json": emit_json, "csv": emit_csv, "text": _trace_text}[args.format]
+    _write_output(args, emit(obj))
 
 
 def _cmd_plan(args) -> int:
-    model = _load_robot(args)
+    (model,) = _load_models(args, human=False)
     result = optimal_plan(model, node_budget=_node_budget(args))
-    print(
-        f"expansions = {result.expansions}\ngenerated = {result.generated}",
-        file=sys.stderr,
-    )
+    print(f"expansions = {result.expansions}\ngenerated = {result.generated}", file=sys.stderr)
     if not result.solvable:
         raise _CliError("the model is unsolvable")
+    actions, cost = result.plan
     if args.format == "json":
-        payload = {
-            "actions": list(result.plan.actions),
-            "cost": result.plan.cost,
-            "expansions": result.expansions,
-            "generated": result.generated,
-        }
+        payload = {"actions": list(actions), "cost": cost,
+                   "expansions": result.expansions, "generated": result.generated}
         _write_output(args, json.dumps(payload, indent=2) + "\n")
     else:
-        _write_output(args, _render_plan_text(result.plan.actions, result.plan.cost))
+        _write_output(args, "".join(f"({name})\n" for name in actions) + f"; cost = {cost}\n")
     return 0
 
 
 def _build_problem(args) -> ReconciliationProblem:
-    robot, human = _load_pair(args)
+    robot, human = _load_models(args, human=True)
     plan = _read_plan_file(args.plan) if args.plan else None
     return ReconciliationProblem(robot, human, robot_plan=plan, node_budget=_node_budget(args))
 
@@ -271,23 +236,16 @@ def _cmd_explain(args) -> int:
     problem = _build_problem(args)
     metric = MetricKind.from_name(args.metric)
     if args.mode == "concise":
-        trace = generate_concise(problem, metric=metric, node_budget=_node_budget(args))
+        trace = generate_concise(problem, metric=metric)
     else:
-        trace = generate_progressive(
-            problem,
-            metric=metric,
-            variant=args.variant,
-            epsilon=epsilon,
-            node_budget=_node_budget(args),
-        )
-    _write_output(args, _trace_output(args, trace))
+        trace = generate_progressive(problem, metric=metric, variant=args.variant, epsilon=epsilon)
+    _output(args, trace)
     return 0
 
 
 def _read_changes(path: str):
     text = sys.stdin.read() if path == "-" else _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except RecursionError:
@@ -297,14 +255,9 @@ def _read_changes(path: str):
             raise _CliError(f"{path}: 'changes' must be a list")
         changes = []
         for i, c in enumerate(raw):
-            if not (
-                isinstance(c, dict)
-                and isinstance(c.get("direction"), str)
-                and isinstance(c.get("feature"), str)
-            ):
-                raise _CliError(
-                    f"{path}: change {i} needs string 'direction' and 'feature' fields"
-                )
+            keys = ("direction", "feature")
+            if not (isinstance(c, dict) and all(isinstance(c.get(key), str) for key in keys)):
+                raise _CliError(f"{path}: change {i} needs string 'direction' and 'feature' fields")
             changes.append(parse_change(f"{c['direction']} {c['feature']}"))
         return changes
     changes = []
@@ -320,11 +273,7 @@ def _cmd_validate(args) -> int:
     changes = _read_changes(args.changes)
     explanation = is_explanation(problem, changes)
     complete = is_complete(problem, changes)
-    payload = {
-        "changes": len(changes),
-        "explanation": explanation,
-        "complete": complete,
-    }
+    payload = {"changes": len(changes), "explanation": explanation, "complete": complete}
     _write_output(args, json.dumps(payload, indent=2) + "\n")
     if not complete:
         print("the change list is not a complete explanation", file=sys.stderr)
@@ -333,8 +282,6 @@ def _cmd_validate(args) -> int:
 
 
 def _eligible_kinds(args) -> frozenset:
-    from .model import FeatureKind
-
     if not args.eligible_kinds:
         return DEFAULT_ELIGIBLE_KINDS
     kinds = set()
@@ -346,45 +293,22 @@ def _eligible_kinds(args) -> frozenset:
     return frozenset(kinds)
 
 
-def _report_output(args, report) -> str:
-    if args.format == "json":
-        return emit_json(report)
-    return emit_csv(report)
-
-
-def _cmd_bench(args) -> int:
+def _cmd_study(args) -> int:
+    """``bench`` (:func:`run_comparison`) or ``sweep`` (:func:`sweep_missing_prob`)."""
     epsilon = _epsilon(args)
-    robot = _load_robot(args)
-    spec = PerturbSpec(args.missing_prob, args.seed, _eligible_kinds(args))
-    report = run_comparison(
-        robot,
-        spec=spec,
-        metric=MetricKind.from_name(args.metric),
-        variant=args.variant,
-        runs=args.runs,
-        epsilon=epsilon,
-        node_budget=_node_budget(args),
-    )
-    _write_output(args, _report_output(args, report))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    epsilon = _epsilon(args)
-    robot = _load_robot(args)
-    report = sweep_missing_prob(
-        robot,
-        p_lo=args.p_lo,
-        p_hi=args.p_hi,
-        p_step=args.p_step,
-        seed=args.seed,
-        metric=MetricKind.from_name(args.metric),
-        variant=args.variant,
-        eligible_kinds=_eligible_kinds(args),
-        epsilon=epsilon,
-        node_budget=_node_budget(args),
-    )
-    _write_output(args, _report_output(args, report))
+    (robot,) = _load_models(args, human=False)
+    kinds = _eligible_kinds(args)
+    if args.command == "bench":
+        study = run_comparison
+        grid = dict(spec=PerturbSpec(args.missing_prob, args.seed, kinds), runs=args.runs)
+    else:
+        study = sweep_missing_prob
+        grid = dict(
+            p_lo=args.p_lo, p_hi=args.p_hi, p_step=args.p_step, seed=args.seed, eligible_kinds=kinds
+        )
+    report = study(robot, metric=MetricKind.from_name(args.metric), variant=args.variant,
+                   epsilon=epsilon, node_budget=_node_budget(args), **grid)
+    _output(args, report)
     return 0
 
 
@@ -439,32 +363,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_validate, ("json",))
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_bench = sub.add_parser("bench", help="progressive-vs-concise perturbation study")
-    p_bench.add_argument("--domain", dest="robot_domain", help="robot PDDL domain file")
-    p_bench.add_argument("--problem", dest="robot_problem", help="robot PDDL problem file")
-    p_bench.add_argument("--fixture", help="native fixture file (robot model)")
-    p_bench.add_argument("--missing-prob", type=float, default=0.1)
-    p_bench.add_argument("--runs", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--seed", type=_seed, default=0)
-    p_bench.add_argument("--eligible-kinds", default="",
-                         help="comma-separated feature kinds to perturb")
-    _add_metric_opts(p_bench)
-    _add_common(p_bench, ("csv", "json"))
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_sweep = sub.add_parser("sweep", help="missing-probability sweep")
-    p_sweep.add_argument("--domain", dest="robot_domain", help="robot PDDL domain file")
-    p_sweep.add_argument("--problem", dest="robot_problem", help="robot PDDL problem file")
-    p_sweep.add_argument("--fixture", help="native fixture file (robot model)")
-    p_sweep.add_argument("--p-lo", type=float, default=0.06)
-    p_sweep.add_argument("--p-hi", type=float, default=0.14)
-    p_sweep.add_argument("--p-step", type=float, default=0.01)
-    p_sweep.add_argument("--seed", type=_seed, default=0)
-    p_sweep.add_argument("--eligible-kinds", default="",
-                         help="comma-separated feature kinds to perturb")
-    _add_metric_opts(p_sweep)
-    _add_common(p_sweep, ("csv", "json"))
-    p_sweep.set_defaults(func=_cmd_sweep)
+    # Each study's own flags: (flag, type, default).
+    studies = {
+        "bench": ("progressive-vs-concise perturbation study",
+                  [("--missing-prob", float, 0.1), ("--runs", _int_at_least(1), 10)]),
+        "sweep": ("missing-probability sweep",
+                  [("--p-lo", float, 0.06), ("--p-hi", float, 0.14), ("--p-step", float, 0.01)]),
+    }
+    for command, (help_text, own_flags) in studies.items():
+        p_study = sub.add_parser(command, help=help_text)
+        p_study.add_argument("--domain", dest="robot_domain", help="robot PDDL domain file")
+        p_study.add_argument("--problem", dest="robot_problem", help="robot PDDL problem file")
+        p_study.add_argument("--fixture", help="native fixture file (robot model)")
+        for flag, kind, default in own_flags:
+            p_study.add_argument(flag, type=kind, default=default)
+        p_study.add_argument("--seed", type=_seed, default=0)
+        p_study.add_argument("--eligible-kinds", default="",
+                             help="comma-separated feature kinds to perturb")
+        _add_metric_opts(p_study)
+        _add_common(p_study, ("csv", "json"))
+        p_study.set_defaults(func=_cmd_study)
 
     return parser
 
@@ -480,7 +398,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         GroundingError,
         ModelError,
         PlanningError,
-        BudgetExceededError,
         ReconciliationError,
         ValueError,
     ) as exc:

@@ -68,6 +68,11 @@ class ReconciliationProblem:
     share work.  The per-model queries take a :class:`Model` over the
     universe or its :class:`~pegplan.planner.CompiledModel`.
 
+    ``node_budget`` is the problem's one node budget, None for unlimited.
+    It bounds each planner call, construction's own included, and,
+    separately, each search run on the problem: a call or a search that
+    expands more nodes raises :class:`~pegplan.planner.BudgetExceededError`.
+
     ``pool`` is the whole human/robot difference, but the searches run over
     its *relevant* changes only: those that
     :func:`~pegplan.planner.inert_edits` does not find inert.  Call a set of
@@ -495,7 +500,6 @@ def generate_progressive(
     metric: MetricKind = MetricKind.P2,
     variant: str = "safe",
     epsilon: Fraction = DEFAULT_EPSILON,
-    node_budget: int | None = None,
     instrument: SearchInstrument | None = None,
 ) -> ExplanationTrace:
     """Minimum cumulative-effort ordered explanation (A* over change subsets).
@@ -571,6 +575,7 @@ def generate_progressive(
     target = (target_cost, target_plan)
     on_node = instrument.on_node if instrument else None
     on_edge = instrument.on_edge if instrument else None
+    node_budget = problem.node_budget
 
     def child_info(parent: _Node, i: int, state: CompiledModel) -> tuple:
         """The child's info, planning it only where the parent's cannot decide it."""
@@ -671,7 +676,6 @@ def generate_progressive(
 def generate_concise(
     problem: ReconciliationProblem,
     metric: MetricKind = MetricKind.P2,
-    node_budget: int | None = None,
 ) -> ExplanationTrace:
     """Minimum-cardinality complete explanation (breadth-first over change subsets).
 
@@ -703,6 +707,7 @@ def generate_concise(
     start = time.perf_counter()
     _check_metric(metric)
     edits = problem._edits
+    node_budget = problem.node_budget
     # (pool-index sequence, subset, the parent's compiled model; the root's own)
     queue = deque([((), 0, problem._human_state)])
     seen = {0}

@@ -23,7 +23,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, parse_fact
+from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, _check_ident, parse_fact
 
 __all__ = [
     "ParseError",
@@ -217,6 +217,12 @@ def _parse_atom(node: _Token | _Form) -> LiftedAtom:
             raise ParseError("nested form where an atom was expected", item.line, item.col)
     if not node:
         raise ParseError("empty atom", node.line, node.col)
+    for arg in node[1:]:
+        if not arg.text.startswith("?"):  # a ?variable is bound, or refused, by ground
+            try:
+                _check_ident(arg.text, "atom argument")
+            except ModelError as exc:
+                raise ParseError(str(exc), arg.line, arg.col) from None
     return LiftedAtom(node[0].text, tuple(item.text for item in node[1:]))
 
 
@@ -244,8 +250,9 @@ def _parse_action(form: _Form) -> ActionSchema:
         if value is None:
             raise ParseError(f"missing value after {key.text}", key.line, key.col)
         if key.text == ":parameters":
-            # an atom in place of the list declares no parameters
-            params = tuple(_parse_typed_list(value if _is_form(value) else (), "parameter"))
+            if not _is_form(value):
+                raise ParseError("expected a parameter list", value.line, value.col)
+            params = tuple(_parse_typed_list(value, "parameter"))
         elif key.text == ":precondition":
             for part in _parse_conjunction(value):
                 if _is_form(part, "not"):
@@ -269,11 +276,14 @@ def _parse_action(form: _Form) -> ActionSchema:
                             "only (increase (total-cost) <int>) is supported", part.line, part.col
                         )
                     amount = part[2]
-                    if _is_form(amount) or not amount.text.isdigit():
+                    try:  # int() refuses some digits, such as '²', and over 4,300 of them
+                        if _is_form(amount) or not amount.text.isdigit():
+                            raise ValueError
+                        cost = int(amount.text)
+                    except ValueError:
                         raise ParseError(
                             f"non-constant total-cost increase in action {name}", part.line, part.col
-                        )
-                    cost = int(amount.text)
+                        ) from None
                 else:
                     add.append(_parse_atom(part))
         else:
@@ -396,11 +406,12 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     Grounded action names join the schema name and its arguments with
     hyphens; two different reachable actions that join to one name (schema
     ``move-a`` over ``b`` and ``move`` over ``a b``) are a
-    :class:`GroundingError` that names both schemas.  An action without
-    ``(increase (total-cost) k)`` costs 1.  Actions whose preconditions can
-    never hold (by static facts or delete-relaxed reachability) are pruned;
-    actions whose delete effects overlap their add effects are normalized
-    with the add winning.
+    :class:`GroundingError` that names both schemas, and so is a name the
+    model refuses, such as an action name holding ``-has-`` (see
+    :mod:`~pegplan.model`).  An action without ``(increase (total-cost) k)``
+    costs 1.  Actions whose preconditions can never hold (by static facts
+    or delete-relaxed reachability) are pruned; actions whose delete
+    effects overlap their add effects are normalized with the add winning.
 
     Every model ground in a process shares one object per atom and per
     action name: facts come from one module-level table, and names are
@@ -409,6 +420,13 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     models a study keeps hold one copy of each.  Like ``sys.intern``'s
     table, the fact table grows only with the distinct atoms ground.
     """
+    try:
+        return _ground(domain, problem)
+    except ModelError as exc:
+        raise GroundingError(str(exc)) from None
+
+
+def _ground(domain: DomainAst, problem: ProblemAst) -> Model:
     if problem.domain != domain.name:
         raise GroundingError(
             f"problem declares domain {problem.domain!r}, expected {domain.name!r}"

@@ -60,7 +60,6 @@ universe.
 
 from __future__ import annotations
 
-import time
 from heapq import heappush, heappop
 from typing import Iterable, NamedTuple, Sequence
 
@@ -103,7 +102,6 @@ class PlanResult(NamedTuple):
     plan: Plan | None
     expansions: int
     generated: int
-    wall_time: float
 
 
 class CompiledModel(NamedTuple):
@@ -297,13 +295,12 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
     whose actions all cost the same is searched breadth-first, any other
     cheapest-first.
     """
-    start = time.perf_counter()
     c = compile_model(model)
     if not _goal_relaxed_reachable(c):
-        return PlanResult(False, None, 0, 0, time.perf_counter() - start)
+        return PlanResult(False, None, 0, 0)
     search = _breadth_first if len({op[3] for op in c.ops}) <= 1 else _cheapest_first
     plan, expansions, generated = search(_project(c), node_budget)
-    return PlanResult(plan is not None, plan, expansions, generated, time.perf_counter() - start)
+    return PlanResult(plan is not None, plan, expansions, generated)
 
 
 def _over_budget(node_budget: int) -> BudgetExceededError:

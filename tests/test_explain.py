@@ -59,6 +59,13 @@ class TestProblemConstruction:
         with pytest.raises(UniverseMismatchError):
             ReconciliationProblem(robot, other)
 
+    def test_zero_budget_fails_when_built(self, errand_pair):
+        # construction plans the robot model, under the problem's budget
+        with pytest.raises(
+            BudgetExceededError, match="^optimal-plan search exceeded the node budget of 0$"
+        ):
+            ReconciliationProblem(*errand_pair, node_budget=0)
+
     def test_unsolvable_robot_rejected(self, errand_pair):
         robot, human = errand_pair
         bad = Model(robot.facts, robot.actions, frozenset(), frozenset({Fact("not-holiday")}))
@@ -319,8 +326,13 @@ class TestProgressive:
         assert trace.sum_rho == 6  # the three-change route would cost 8
 
     def test_budget_is_enforced(self, errand_pair):
-        with pytest.raises(BudgetExceededError):
-            generate_progressive(errand_problem(errand_pair), node_budget=0)
+        # Each planner call here expands at most 2 nodes and the search 7,
+        # so the problem's one budget of 2 stops the search alone.
+        problem = ReconciliationProblem(*errand_pair, node_budget=2)
+        with pytest.raises(
+            BudgetExceededError, match="^progressive search exceeded the node budget of 2$"
+        ):
+            generate_progressive(problem)
 
     def test_negative_epsilon_rejected(self, errand_pair):
         with pytest.raises(ValueError, match="epsilon"):
@@ -429,8 +441,12 @@ class TestConcise:
             assert concise.size <= peg.size
 
     def test_budget_is_enforced(self, errand_pair):
-        with pytest.raises(BudgetExceededError):
-            generate_concise(errand_problem(errand_pair), node_budget=0)
+        # Each planner call here expands at most 2 nodes and the search 8.
+        problem = ReconciliationProblem(*errand_pair, node_budget=2)
+        with pytest.raises(
+            BudgetExceededError, match="^concise search exceeded the node budget of 2$"
+        ):
+            generate_concise(problem)
 
 
 class TestTraceBookkeeping:

@@ -65,6 +65,10 @@ REJECTIONS = [
     ("problem", P + "(:init p))", "expected an atom in parentheses", 1, 40),
     ("problem", P + "(:init (p (q))))", "nested form where an atom was expected", 1, 43),
     ("problem", P + "(:init ()))", "empty atom", 1, 40),
+    ("problem", P + "(:init (at rover0 -)))",
+     "invalid atom argument '-': expected lowercase identifier", 1, 51),
+    ("domain", A + ":parameters ?x :precondition (p ?x) :effect (p ?x)))",
+     "expected a parameter list", 1, 61),
     ("domain", "; header\n(define (domain d)\n\t(:requirements\r :strips :adl))",
      "unsupported requirement :adl", 3, 26),
     ("domain", D + "(:action))", "expected action name", 1, 20),
@@ -78,6 +82,8 @@ REJECTIONS = [
      "only (increase (total-cost) <int>) is supported", 1, 57),
     ("domain", A + ":effect (increase (total-cost))))",
      "only (increase (total-cost) <int>) is supported", 1, 57),
+    ("domain", A + ":effect (increase (total-cost) ²)))",
+     "non-constant total-cost increase in action a", 1, 57),
     ("domain", A + ":duration 1))", "unsupported action section :duration", 1, 49),
     ("domain", "(domain d)", "expected (define (domain ...) ...)", 1, 1),
     ("domain", "(define (problem d))", "expected (domain <name>)", 1, 1),
@@ -111,6 +117,9 @@ REJECTIONS = [
      "unbound variable '?y' in p", None, None),
     ("ground", TYPED + "(?x - car) :precondition (p ?x) :effect (p ?x)))",
      "parameter ?x of action a has undeclared type 'car'", None, None),
+    ("ground", TYPED.replace("action a", "action b-has")
+     + "(?x - t) :precondition (p ?x) :effect (p ?x)))",
+     "invalid action name 'b-has-o': '-has-' is reserved", None, None),
     ("fixture", "action a 5 (1)\n  pre: p (q\n  eff+: r\n", "malformed parenthesized group in pre", 2, 1),
     ("fixture", "action a 5 (1)\n  pre: (q) p\n  eff+: r\n", "malformed parenthesized group in pre", 2, 1),
     ("fixture", "init: p\naction a\n", "expected 'action NAME COST [(CHEAPCOST)]'", 2, 1),
