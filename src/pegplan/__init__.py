@@ -7,127 +7,17 @@ while keeping each intermediate revision as gentle as possible under a
 choice of cognitive-effort proxies.
 """
 
-from .bench import (
-    DEFAULT_ELIGIBLE_KINDS,
-    PerturbSpec,
-    Report,
-    RunRecord,
-    SweepRecord,
-    eligible_features,
-    emit_csv,
-    emit_json,
-    perturb_model,
-    run_comparison,
-    sweep_missing_prob,
-    trace_to_dict,
-)
-from .explain import (
-    DEFAULT_EPSILON,
-    ExplanationTrace,
-    ReconciliationError,
-    ReconciliationProblem,
-    SearchInstrument,
-    StepRecord,
-    generate_concise,
-    generate_progressive,
-    is_complete,
-    is_explanation,
-)
-from .metrics import MetricKind, heuristic, plan_edit_distance, rho
-from .model import (
-    ChangePreconditionError,
-    Fact,
-    Feature,
-    FeatureChange,
-    FeatureKind,
-    GroundAction,
-    InvalidEditError,
-    Model,
-    ModelError,
-    UniverseMismatchError,
-    apply_change,
-    delta,
-    gamma,
-    parse_change,
-    parse_fact,
-    parse_feature,
-)
-from .pddl import (
-    GroundingError,
-    ParseError,
-    ground,
-    load_fixture,
-    parse_domain,
-    parse_fixture,
-    parse_problem,
-)
-from .planner import (
-    BudgetExceededError,
-    Plan,
-    PlanningError,
-    PlanResult,
-    UnknownActionError,
-    optimal_plan,
-    plan_cost,
-)
+from . import bench, explain, metrics, model, pddl, planner
+from .bench import *
+from .explain import *
+from .metrics import *
+from .model import *
+from .pddl import *
+from .planner import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "ChangePreconditionError",
-    "DEFAULT_ELIGIBLE_KINDS",
-    "DEFAULT_EPSILON",
-    "ExplanationTrace",
-    "Fact",
-    "Feature",
-    "FeatureChange",
-    "FeatureKind",
-    "GroundAction",
-    "GroundingError",
-    "InvalidEditError",
-    "MetricKind",
-    "Model",
-    "ModelError",
-    "ParseError",
-    "PerturbSpec",
-    "Plan",
-    "PlanResult",
-    "PlanningError",
-    "ReconciliationError",
-    "ReconciliationProblem",
-    "Report",
-    "RunRecord",
-    "SearchInstrument",
-    "StepRecord",
-    "SweepRecord",
-    "UniverseMismatchError",
-    "UnknownActionError",
-    "apply_change",
-    "delta",
-    "eligible_features",
-    "emit_csv",
-    "emit_json",
-    "gamma",
-    "generate_concise",
-    "generate_progressive",
-    "ground",
-    "heuristic",
-    "is_complete",
-    "is_explanation",
-    "load_fixture",
-    "optimal_plan",
-    "parse_change",
-    "parse_domain",
-    "parse_fact",
-    "parse_feature",
-    "parse_fixture",
-    "parse_problem",
-    "perturb_model",
-    "plan_cost",
-    "plan_edit_distance",
-    "rho",
-    "run_comparison",
-    "sweep_missing_prob",
-    "trace_to_dict",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = sorted(
+    name for module in (bench, explain, metrics, model, pddl, planner) for name in module.__all__
+)

@@ -44,11 +44,13 @@ __all__ = [
     "RunRecord",
     "SweepRecord",
     "Report",
+    "eligible_features",
     "perturb_model",
     "run_comparison",
     "sweep_missing_prob",
     "emit_csv",
     "emit_json",
+    "trace_to_dict",
 ]
 
 # Only structural action features are deleted by default; initial state,

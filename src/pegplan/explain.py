@@ -236,15 +236,18 @@ class ReconciliationProblem:
         return self._cost_and_plan(model)[1]
 
     def _cost_and_plan(
-        self, model: Model | CompiledModel
+        self, model: Model | CompiledModel, plan: Plan | None = None
     ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
         """cost*(model), 0 when unsolvable, the anchored plan, and the
-        canonical plan (None when unsolvable)."""
+        canonical plan (None when unsolvable).  A caller that has already
+        proven ``plan`` the model's canonical plan passes it, and the model
+        is not planned."""
         state = self._compile(model)
-        result = self.plan_result(state)
-        if not result.solvable:
-            return 0, (), None
-        plan = result.plan
+        if plan is None:
+            result = self.plan_result(state)
+            if not result.solvable:
+                return 0, (), None
+            plan = result.plan
         if self.target_plan_cost(state) == plan.cost:
             return plan.cost, self.robot_plan.actions, plan.actions
         return plan.cost, plan.actions, plan.actions
@@ -570,9 +573,8 @@ def generate_progressive(
         raise ValueError("epsilon must be non-negative")
     changes = problem._changes
     edits = problem._edits
-    target_plan = problem.robot_plan.actions
     target_cost = problem.robot_plan.cost
-    target = (target_cost, target_plan)
+    target = (target_cost, problem.robot_plan.actions)
     on_node = instrument.on_node if instrument else None
     on_edge = instrument.on_edge if instrument else None
     node_budget = problem.node_budget
@@ -584,8 +586,7 @@ def generate_progressive(
             if optimum is None:
                 return parent.info  # no plan to lose: still unsolvable
             if plan_cost(optimum, state) == cost:
-                anchored = problem.target_plan_cost(state) == cost
-                return cost, target_plan if anchored else optimum, optimum
+                return problem._cost_and_plan(state, Plan(optimum, cost))
         return problem._cost_and_plan(state)
 
     # The floor is taken when a node at value 0 (info[0] = cost 0 for p2,

@@ -173,16 +173,22 @@ def _parse_define(text: str, kind: str) -> tuple[_Form, str, list[_Token | _Form
 
 
 class LiftedAtom(NamedTuple):
+    """An atom as written: a predicate over objects or ``?variables``."""
+
     name: str
     args: tuple[str, ...]
 
 
 class PredicateDecl(NamedTuple):
+    """A ``:predicates`` entry: the name and its typed parameters."""
+
     name: str
     params: tuple[tuple[str, str], ...]
 
 
 class ActionSchema(NamedTuple):
+    """A lifted ``:action``; ``cost`` is its ``total-cost`` increase, if any."""
+
     name: str
     params: tuple[tuple[str, str], ...]
     preconditions: tuple[LiftedAtom, ...]
@@ -192,6 +198,8 @@ class ActionSchema(NamedTuple):
 
 
 class DomainAst(NamedTuple):
+    """A parsed ``define (domain ...)``, as :func:`parse_domain` returns it."""
+
     name: str
     requirements: tuple[str, ...]
     types: tuple[str, ...]
@@ -201,6 +209,8 @@ class DomainAst(NamedTuple):
 
 
 class ProblemAst(NamedTuple):
+    """A parsed ``define (problem ...)``, as :func:`parse_problem` returns it."""
+
     name: str
     domain: str
     objects: tuple[tuple[str, str], ...]

@@ -317,16 +317,16 @@ def _cheapest_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | N
     expansions = 0
     generated = 0
 
-    # best[state] = (cost, length, path) of the best path queued to it
+    # best[state] = (cost, length, path) of the best path queued to it.  A
+    # successor's key exceeds its parent's (the length grows, no cost is
+    # negative), so no expanded state is queued again.
     best: dict[int, tuple[int, int, tuple[str, ...]]] = {init: (0, 0, ())}
     heap: list[tuple[int, int, tuple[str, ...], int]] = [(0, 0, (), init)]
-    closed: set[int] = set()
 
     while heap:
         g, n, path, state = heappop(heap)
-        if state in closed:
-            continue  # stale entry: a better path to it was expanded
-        closed.add(state)
+        if best[state] != (g, n, path):
+            continue  # stale entry: a better path to it was queued
         expansions += 1
         if node_budget is not None and expansions > node_budget:
             raise _over_budget(node_budget)
@@ -337,8 +337,6 @@ def _cheapest_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | N
             if state & pre != pre:
                 continue
             succ = (state & keep) | add
-            if succ in closed:
-                continue
             key = (g + cost, n, path + (name,))
             rec = best.get(succ)
             if rec is not None and key >= rec:

@@ -48,3 +48,11 @@ def test_every_public_name_has_a_docstring():
         if not doc or inspect.isclass(obj) and doc.startswith(f"{name}("):
             undocumented.append(name)
     assert not undocumented
+
+
+def test_public_names_are_listed_once_and_resolve():
+    # pegplan star-imports every module's __all__: a name two modules list
+    # would be shadowed silently by the later import
+    names = pegplan.__all__
+    assert sorted(set(names)) == names
+    assert [name for name in names if not hasattr(pegplan, name)] == []

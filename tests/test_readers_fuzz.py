@@ -11,6 +11,7 @@ Examples are derandomized and bounded, so every run tries the same inputs.
 import contextlib
 import io
 import json
+import re
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,22 @@ pddl_texts = st.one_of(
     _soup(PDDL_TOKENS).map(lambda s: f"(define (problem x) (:domain d) {s})"),
     st.text(max_size=40),
 )
+
+# Rover p01 with one argument of an :init or :goal atom replaced by a junk
+# token: a well-formed problem that only the atom reader can reject.
+ROVER_DOMAIN = parse_domain((BENCHMARKS / "rover" / "domain.pddl").read_text())
+ROVER_P01 = (BENCHMARKS / "rover" / "p01.pddl").read_text()
+# (start, end) of every argument of an atom from :init on, the goal's included
+ATOM_ARGUMENTS = [
+    (atom.start(1) + arg.start(), atom.start(1) + arg.end())
+    for atom in re.compile(r"\(\w+((?:\s+\w+)+)\)").finditer(ROVER_P01, ROVER_P01.index("(:init"))
+    for arg in re.finditer(r"\w+", atom.group(1))
+]
+JUNK_ARGUMENTS = ("-", "Ä", "1(", "x-has-y", "?x", "-x", "x-", "_", "A", "0", ")", "(", ";", '"')
+bad_rover_p01 = st.tuples(
+    st.sampled_from(ATOM_ARGUMENTS), st.sampled_from(JUNK_ARGUMENTS) | st.text(min_size=1, max_size=3)
+).map(lambda t: ROVER_P01[: t[0][0]] + t[1] + ROVER_P01[t[0][1]:])
+
 features = st.lists(st.sampled_from(FEATURE_PIECES), max_size=8).map("".join)
 changes = st.tuples(st.sampled_from(("add ", "remove ", "", "befuddle ")), features).map("".join)
 json_values = st.recursive(
@@ -110,6 +127,12 @@ def test_parse_domain(text):
 def test_parse_problem_and_ground(text):
     domain = parse_domain(DOMAIN)
     _documented_only(lambda t: ground(domain, parse_problem(t)), text, PDDL_ERRORS)
+
+
+@FUZZ
+@given(bad_rover_p01)
+def test_bad_atom_argument(text):
+    _documented_only(lambda t: ground(ROVER_DOMAIN, parse_problem(t)), text, PDDL_ERRORS)
 
 
 @FUZZ
