@@ -34,7 +34,8 @@ from .explain import (
     generate_progressive,
 )
 from .metrics import MetricKind
-from .model import FeatureChange, FeatureKind, Model, _feature, _features, apply_change
+from .model import _SLOTS, FeatureChange, FeatureKind, Model, _as_fact_set, _feature
+from .model import _feature_string, _features
 from .planner import BudgetExceededError
 
 __all__ = [
@@ -96,10 +97,14 @@ class PerturbSpec(_PerturbFields):
         return cls(*iterable)
 
 
+def _eligible(model: Model, kinds: frozenset[FeatureKind]) -> list:
+    """:func:`eligible_features` as (kind, owner, fact) triples."""
+    return sorted((f for f in _features(model) if f[0] in kinds), key=lambda f: _feature_string(*f))
+
+
 def eligible_features(model: Model, kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS) -> list:
     """The perturbation pool: eligible features in sorted render order."""
-    eligible = (_feature(*feature) for feature in _features(model) if feature[0] in kinds)
-    return sorted(eligible, key=lambda f: f.render())
+    return [_feature(*feature) for feature in _eligible(model, kinds)]
 
 
 def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
@@ -107,15 +112,24 @@ def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
 
     Returns the perturbed model, the number of features removed, and the
     pool size.  Deterministic for a fixed spec: features are visited in
-    sorted order with one uniform draw each.
+    sorted order with one uniform draw each.  The model is built in one
+    pass, sharing the robot's untouched actions and fact sets.
     """
-    pool = eligible_features(robot, spec.eligible_kinds)
+    pool = _eligible(robot, spec.eligible_kinds)
     rng = random.Random(spec.seed)
     removed = [f for f in pool if rng.random() < spec.missing_prob]
-    model = robot
-    for feat in removed:
-        model = apply_change(model, FeatureChange("remove", feat))
-    return model, len(removed), len(pool)
+    gone: dict[str | None, dict[str, set]] = {}  # owner -> field -> its removed facts
+    for kind, owner, fact in removed:
+        gone.setdefault(owner, {}).setdefault(_SLOTS[kind], set()).add(fact)
+
+    def without(holder, owner: str | None):
+        """The model or action ``holder`` without its removed facts."""
+        fields = {slot: _as_fact_set(set(getattr(holder, slot)) - facts)
+                  for slot, facts in gone.get(owner, {}).items()}
+        return holder._replace(**fields) if fields else holder
+
+    actions = [without(act, act.name) for act in robot.actions]
+    return without(robot, None)._replace(actions=actions), len(removed), len(pool)
 
 
 class RunRecord(NamedTuple):
@@ -165,27 +179,17 @@ class Report(NamedTuple):
     averages: dict
 
 
-_AVERAGED_COMPARISON = (
-    "missing_features",
-    "peg_size",
-    "peg_sum_rho_p2",
-    "peg_expansions",
-    "peg_wall_time",
-    "concise_size",
-    "concise_sum_rho_p2",
-    "concise_expansions",
-    "concise_wall_time",
-)
-
-_AVERAGED_SWEEP = ("missing_features", "size", "sum_rho", "expansions", "wall_time")
-
-
-def _averages(records: Iterable, columns: tuple[str, ...]) -> dict:
+def _averages(records: Iterable) -> dict:
+    """The mean of the missing features and of each result field (the
+    fields with a default, but ``failed`` and ``failure``) over the records
+    that did not fail."""
     usable = [r for r in records if not r.failed]
     if not usable:
         return {}
+    results = [col for col in usable[0]._field_defaults if col not in ("failed", "failure")]
     return {
-        col: sum(getattr(r, col) for r in usable) / len(usable) for col in columns
+        col: sum(getattr(r, col) for r in usable) / len(usable)
+        for col in ("missing_features", *results)
     }
 
 
@@ -219,7 +223,7 @@ def _perturb_and_explain(
 
 
 def _report(
-    kind: str, records: list, averaged: tuple[str, ...], robot: Model, grid: dict,
+    kind: str, records: list, robot: Model, grid: dict,
     seed: int, eligible_kinds: frozenset[FeatureKind], metric: MetricKind, variant: str,
     epsilon: Fraction, node_budget: int | None, **counts: int,
 ) -> Report:
@@ -237,7 +241,7 @@ def _report(
         **counts,
         "node_budget": node_budget,
     }
-    return Report(kind, config, tuple(records), _averages(records, averaged))
+    return Report(kind, config, tuple(records), _averages(records))
 
 
 def run_comparison(
@@ -275,7 +279,7 @@ def run_comparison(
             )
         records.append(RunRecord(run_index=i, **fields))
     return _report(
-        "comparison", records, _AVERAGED_COMPARISON, robot, {"missing_prob": spec.missing_prob},
+        "comparison", records, robot, {"missing_prob": spec.missing_prob},
         spec.seed, spec.eligible_kinds, metric, variant, epsilon, node_budget, runs=runs,
     )
 
@@ -332,7 +336,7 @@ def sweep_missing_prob(
         records.append(SweepRecord(missing_prob=p, **fields))
     grid = {"p_lo": float(lo), "p_hi": float(hi), "p_step": float(step)}
     return _report(
-        "sweep", records, _AVERAGED_SWEEP, robot, grid,
+        "sweep", records, robot, grid,
         seed, eligible_kinds, metric, variant, epsilon, node_budget,
     )
 

@@ -15,7 +15,9 @@ remaining-effort estimate as heuristic.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from collections import deque
+from functools import cached_property
 from fractions import Fraction
 from heapq import heappush, heappop
 from math import inf, lcm
@@ -26,7 +28,10 @@ from .model import (
     FeatureChange,
     FeatureKind,
     Model,
-    UniverseMismatchError,
+    _check_action_names,
+    _digest,
+    _feature_string,
+    _feature_strings,
     apply_change,
     delta,
 )
@@ -72,6 +77,10 @@ class ReconciliationProblem:
     It bounds each planner call, construction's own included, and,
     separately, each search run on the problem: a call or a search that
     expands more nodes raises :class:`~pegplan.planner.BudgetExceededError`.
+    The robot object keeps its plan result for later problems over it: one
+    plans it again, and raises the planner's error, exactly when its budget
+    is below the result's expansions, and :meth:`planner_calls` counts a
+    reused result too.
 
     ``pool`` is the whole human/robot difference, but the searches run over
     its *relevant* changes only: those that
@@ -143,22 +152,25 @@ class ReconciliationProblem:
         robot_plan: Plan | Sequence[str] | None = None,
         node_budget: int | None = None,
     ):
-        differ = {a.name for a in robot.actions} ^ {a.name for a in human.actions}
-        if differ:
-            raise UniverseMismatchError(
-                "robot and human models must share an action-name universe: "
-                + ", ".join(sorted(differ))
-            )
+        _check_action_names(
+            robot, human, "robot and human models must share an action-name universe: "
+        )
         universe = robot.facts | human.facts
         self.robot = robot.with_facts(universe)
         self.human = human.with_facts(universe)
         self.node_budget = node_budget
         self._plan_cache: dict[CompiledModel, PlanResult] = {}
-        self._witnesses: list[tuple[str, ...]] = []
+        self._witnesses: list[tuple[int, ...]] = []  # as op indices
         self._bits = fact_bits(universe)
 
         robot_state = self._compile(self.robot)
-        robot_result = self.plan_result(robot_state)
+        robot_result = self.robot._plan_result
+        if robot_result is None or (
+            node_budget is not None and node_budget < robot_result.expansions
+        ):
+            robot_result = self.plan_result(robot_state)
+            object.__setattr__(self.robot, "_plan_result", robot_result)
+        self._plan_cache[robot_state] = robot_result
         if not robot_result.solvable:
             raise ReconciliationError("the robot model is unsolvable")
         optimum = robot_result.plan
@@ -175,6 +187,9 @@ class ReconciliationProblem:
                     f"but the optimum costs {optimum.cost}"
                 )
             self.robot_plan = Plan(actions, cost)
+        # Plans checked in many models go to plan_cost as op indices.
+        self._op_index = {op[4]: i for i, op in enumerate(robot_state.ops)}
+        self._robot_steps = tuple(self._op_index[name] for name in self.robot_plan.actions)
         self.pool: frozenset[FeatureChange] = delta(self.human, self.robot)
         # The lattice in compiled form: each node is the human state with
         # the edits of its changes applied.  Search nodes are bitmasks over
@@ -220,7 +235,7 @@ class ReconciliationProblem:
 
     def target_plan_cost(self, model: Model | CompiledModel) -> int | None:
         """Cost of the robot plan in ``model``, or None when infeasible."""
-        return plan_cost(self.robot_plan.actions, model)
+        return plan_cost(self._robot_steps, model)
 
     def anchored_plan(self, model: Model | CompiledModel) -> tuple[str, ...]:
         """The model's canonical optimal plan, anchored to the robot plan.
@@ -251,6 +266,11 @@ class ReconciliationProblem:
         if self.target_plan_cost(state) == plan.cost:
             return plan.cost, self.robot_plan.actions, plan.actions
         return plan.cost, plan.actions, plan.actions
+
+    @cached_property
+    def _human_strings(self) -> list[str]:
+        """The human model's sorted feature strings (see :func:`_build_trace`)."""
+        return _feature_strings(self.human)
 
     def planner_calls(self) -> int:
         return len(self._plan_cache)
@@ -289,7 +309,10 @@ class ReconciliationProblem:
         useful first.
         """
         state = self._compile(model)
-        target = self.target_plan_cost(state)
+        return self._is_complete(state, self.target_plan_cost(state))
+
+    def _is_complete(self, state: CompiledModel, target: int | None) -> bool:
+        """:meth:`is_complete_model` given the robot plan's cost there."""
         if target is None or target != self.robot_plan.cost:
             return False
         result = self._plan_cache.get(state)
@@ -303,7 +326,7 @@ class ReconciliationProblem:
             result = self.plan_result(state)
             if result.solvable and result.plan.cost < target:
                 # every witness has just failed here, so this one is new
-                witnesses.insert(0, result.plan.actions)
+                witnesses.insert(0, tuple(self._op_index[a] for a in result.plan.actions))
         return result.solvable and result.plan.cost == target
 
     def apply_changes(self, changes: Iterable[FeatureChange]) -> Model:
@@ -370,7 +393,7 @@ class StepRecord(NamedTuple):
 
     index: int
     change: FeatureChange | None
-    model_digest: str
+    model_digest: str  # the step's model's Model.digest()
     solvable: bool
     cost_star: int
     plan: tuple[str, ...]
@@ -383,12 +406,12 @@ class ExplanationTrace(NamedTuple):
     ``expansions`` counts the nodes expanded.  ``generated`` counts the
     child subsets queued; concise queues a child before deriving its
     model, so it also counts a subset whose edit turns out invalid when
-    dequeued.  ``planner_calls`` counts the models the problem actually
-    planned, over all its searches so far, the most relaxed model M_r
-    included once a search has needed its floor (see
-    :class:`ReconciliationProblem`); models refuted by a witness plan, and
-    progressive children whose optimal cost follows from their parent's
-    (see :func:`generate_progressive`), are not planned.
+    dequeued.  ``planner_calls`` counts the models the problem planned, over
+    all its searches so far: the robot model, even when its result was
+    reused, and the most relaxed model M_r once a search has needed its
+    floor (see :class:`ReconciliationProblem`).  Models refuted by a
+    witness plan, and progressive children whose optimal cost follows from
+    their parent's (see :func:`generate_progressive`), are not planned.
     """
 
     mode: str  # "peg" | "concise"
@@ -459,22 +482,32 @@ def _build_trace(
     start_time: float,
 ) -> ExplanationTrace:
     """The trace of ``seq``, valid relevant-change indices.  Each step's
-    state is the previous one's with one edit; its :class:`Model`, built by
-    :func:`~pegplan.model.apply_change`, serves only the ``model_digest``."""
+    state is the previous one's with one edit, and its :class:`Model` the
+    previous one's with :func:`~pegplan.model.apply_change`; its digest
+    updates the previous step's sorted feature strings."""
     changes = tuple(problem._changes[i] for i in seq)
     model, state = problem.human, problem._human_state
+    strings = list(problem._human_strings)
     steps: list[StepRecord] = []
     prev = None
     for index, change in enumerate((None,) + changes):
         if index:
+            feat = change.feature
+            if feat.kind is FeatureKind.COST:  # replaces the action's cost feature
+                old = _feature_string(feat.kind, feat.owner, model.action(feat.owner).cost)
+                del strings[bisect_left(strings, old)]
             model = apply_change(model, change)
+            if change.direction == "add":
+                insort(strings, feat.sort_index)
+            else:
+                del strings[bisect_left(strings, feat.sort_index)]
             state = apply_edit(state, problem._edits[seq[index - 1]])
         cost_star, plan, optimum = problem._cost_and_plan(state)
         steps.append(
             StepRecord(
                 index=index,
                 change=change,
-                model_digest=model.digest(),
+                model_digest=_digest(strings),
                 solvable=optimum is not None,
                 cost_star=cost_star,
                 plan=plan,
@@ -703,28 +736,43 @@ def generate_concise(
     invalid is then dropped, counted as generated but not as expanded.
     Most dequeued nodes are rejected without planning: by the robot plan's
     cost there, or by a witness plan (see
-    :meth:`ReconciliationProblem.is_complete_model`).
+    :meth:`ReconciliationProblem.is_complete_model`).  A node takes that
+    cost from its parent unless its edit touches the init, the goal or a
+    robot-plan action and can change it: a cost-raising edit keeps an
+    infeasible plan infeasible, any other fact edit a feasible plan's cost.
     """
     start = time.perf_counter()
     _check_metric(metric)
     edits = problem._edits
     node_budget = problem.node_budget
-    # (pool-index sequence, subset, the parent's compiled model; the root's own)
-    queue = deque([((), 0, problem._human_state)])
+    # Whether an edit can change the robot plan's cost, given the parent's.
+    # A fact edit that is not cost-raising only grows the states along the
+    # plan or drops something the plan needs; any other edit only shrinks
+    # the states, adds a need or changes a cost.
+    plan_ops = set(problem._robot_steps)
+    moves_target = [i is None or i in plan_ops for _, i, _ in edits]
+    grows = [kind is not FeatureKind.COST and not problem._raising_mask >> i & 1
+             for i, (kind, _, _) in enumerate(edits)]
+    # (pool-index sequence, subset, the parent's compiled model and robot
+    # plan cost; the root's own)
+    human = problem._human_state
+    queue = deque([((), 0, human, problem.target_plan_cost(human))])
     seen = {0}
     expansions = 0
     generated = 0
 
     while queue:
-        seq, mask, state = queue.popleft()
+        seq, mask, state, target = queue.popleft()
         if seq:
             state = apply_edit(state, edits[seq[-1]])
             if state is None:
                 continue  # no valid model holds this subset
+            if moves_target[seq[-1]] and (target is None) == grows[seq[-1]]:
+                target = problem.target_plan_cost(state)
         expansions += 1
         if node_budget is not None and expansions > node_budget:
             raise BudgetExceededError(f"concise search exceeded the node budget of {node_budget}")
-        if problem.is_complete_model(state):
+        if problem._is_complete(state, target):
             return _build_trace(
                 problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated,
                 start,
@@ -734,6 +782,6 @@ def generate_concise(
             if child_mask not in seen:  # the subset itself is seen, so i is new
                 seen.add(child_mask)
                 generated += 1
-                queue.append((seq + (i,), child_mask, state))
+                queue.append((seq + (i,), child_mask, state, target))
 
     raise ReconciliationError("search exhausted without finding a complete explanation")

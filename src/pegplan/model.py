@@ -104,7 +104,8 @@ class _Value:
 class Fact(_Value):
     """A ground atom, rendered as ``name`` or ``name(arg1,arg2,...)``."""
 
-    __slots__ = _fields = ("name", "args")
+    _fields = ("name", "args")
+    __slots__ = _fields + ("_hash",)  # computed once: fact-set lookups hash every fact
 
     def __init__(self, name: str, args: tuple[str, ...] = ()) -> None:
         _check_ident(name, "fact name")
@@ -112,6 +113,7 @@ class Fact(_Value):
             _check_ident(a, "fact argument")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((name, args)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -124,7 +126,7 @@ class Fact(_Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.name, self.args))
+        return self._hash
 
     def render(self) -> str:
         if not self.args:
@@ -192,13 +194,21 @@ class GroundAction(_Value):
 
 
 def _as_fact_set(facts: Iterable[Fact]) -> frozenset[Fact]:
-    return facts if isinstance(facts, frozenset) else frozenset(facts)
+    """``facts`` as a frozenset, the shared empty one when empty; a frozenset
+    is kept as it is.  Other facts are frozen from a set: CPython sizes a
+    frozenset made from a set for its contents, but one made fact by fact
+    for growth, up to twice as large, and a model keeps its sets."""
+    return frozenset(facts if isinstance(facts, (set, frozenset)) else set(facts)) or _NO_FACTS
 
 
 class Model(_Value):
     """A ground planning model: fact universe, actions, initial state, goal."""
 
-    __slots__ = _fields = ("facts", "actions", "init", "goal")
+    _fields = ("facts", "actions", "init", "goal")
+    # Not a field, so equality, hashing and copies ignore it: a private memo
+    # where a ReconciliationProblem keeps the robot model's optimal-plan
+    # result, so later problems over the same robot object reuse it.
+    __slots__ = _fields + ("_plan_result",)
 
     def __init__(self, facts: Iterable[Fact], actions: Iterable[GroundAction],
                  init: Iterable[Fact], goal: Iterable[Fact]) -> None:
@@ -207,25 +217,22 @@ class Model(_Value):
         names = [a.name for a in actions]
         if len(set(names)) != len(names):
             raise ModelError("duplicate action names in model")
-        for label, subset in (("init", init), ("goal", goal)):
-            missing = subset - facts
-            if missing:
-                raise ModelError(
-                    f"{label} references facts outside the universe: "
-                    + ", ".join(sorted(f.render() for f in missing))
-                )
-        for act in actions:
-            referenced = act.preconditions | act.add_effects | act.delete_effects
+        holders = [("init", init), ("goal", goal)] + [
+            (f"action {act.name}", act.preconditions | act.add_effects | act.delete_effects)
+            for act in actions
+        ]
+        for label, referenced in holders:
             missing = referenced - facts
             if missing:
                 raise ModelError(
-                    f"action {act.name} references facts outside the universe: "
+                    f"{label} references facts outside the universe: "
                     + ", ".join(sorted(f.render() for f in missing))
                 )
         object.__setattr__(self, "facts", facts)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "_plan_result", None)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -267,8 +274,7 @@ class Model(_Value):
         newlines.  The strings are rendered directly, with no
         :class:`Feature` built.
         """
-        text = "\n".join(sorted(_feature_string(*feature) for feature in _features(self)))
-        return sha256(text.encode()).hexdigest()[:12]
+        return _digest(_feature_strings(self))
 
 
 class FeatureKind(Enum):
@@ -289,6 +295,8 @@ _ACTION_SLOTS = {
     FeatureKind.ADD_EFFECT: "add_effects",
     FeatureKind.DELETE_EFFECT: "delete_effects",
 }
+# The field holding each fact-carrying feature kind, of the model or of an action.
+_SLOTS = {FeatureKind.INIT: "init", FeatureKind.GOAL: "goal", **_ACTION_SLOTS}
 
 
 def _feature_string(kind: FeatureKind, owner: str | None, value: object) -> str:
@@ -302,6 +310,16 @@ def _feature_string(kind: FeatureKind, owner: str | None, value: object) -> str:
     if owner is None:
         return f"{kind.value}-has-{value}"
     return f"{owner}-has-{kind.value}-{value}"
+
+
+def _feature_strings(model: Model) -> list[str]:
+    """The model's feature strings, sorted: what :meth:`Model.digest` hashes."""
+    return sorted(_feature_string(*feature) for feature in _features(model))
+
+
+def _digest(strings: list[str]) -> str:
+    """:meth:`Model.digest` of the model whose sorted feature strings these are."""
+    return sha256("\n".join(strings).encode()).hexdigest()[:12]
 
 
 def _features(model: Model) -> Iterable[tuple[FeatureKind, str | None, object]]:
@@ -373,10 +391,8 @@ def parse_feature(text: str) -> Feature:
     head, sep, rest = text.partition(_RESERVED_INFIX)
     if not sep:
         raise ModelError(f"cannot parse feature {text!r}: missing {_RESERVED_INFIX!r}")
-    if head == "init":
-        return Feature(FeatureKind.INIT, fact=parse_fact(rest))
-    if head == "goal":
-        return Feature(FeatureKind.GOAL, fact=parse_fact(rest))
+    if head in _RESERVED_NAMES:  # "init" and "goal" are the kinds of their features
+        return Feature(FeatureKind(head), fact=parse_fact(rest))
     owner = _check_ident(head, "action name")
     for kind in (FeatureKind.PRECONDITION, FeatureKind.ADD_EFFECT, FeatureKind.DELETE_EFFECT):
         prefix = kind.value + "-"
@@ -446,6 +462,14 @@ def gamma(model: Model) -> frozenset[Feature]:
     return frozenset(_feature(*feature) for feature in _features(model))
 
 
+def _check_action_names(m1: Model, m2: Model, message: str) -> None:
+    """Raise :class:`UniverseMismatchError`, ``message`` followed by the
+    names only one model has, unless both have the same action names."""
+    differ = {a.name for a in m1.actions} ^ {a.name for a in m2.actions}
+    if differ:
+        raise UniverseMismatchError(message + ", ".join(sorted(differ)))
+
+
 def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
     """The unit changes that transform ``m1`` into a model feature-equal to ``m2``.
 
@@ -454,13 +478,7 @@ def delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:
     for the init and goal facts that differ and for the actions that
     differ; an action that is the same, or equal, in both models adds none.
     """
-    names1 = {a.name for a in m1.actions}
-    names2 = {a.name for a in m2.actions}
-    if names1 != names2:
-        diff = sorted(names1 ^ names2)
-        raise UniverseMismatchError(
-            "models do not share an action-name universe: " + ", ".join(diff)
-        )
+    _check_action_names(m1, m2, "models do not share an action-name universe: ")
     changes: set[FeatureChange] = set()
 
     def toggle(kind: FeatureKind, owner: str | None, had: frozenset, wants: frozenset):
@@ -499,32 +517,25 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
         raise InvalidEditError(
             f"cannot apply {change.render()}: fact {feat.fact.render()} is outside the universe"
         )
-    if feat.kind is FeatureKind.INIT:
-        current = model.init
-    elif feat.kind is FeatureKind.GOAL:
-        current = model.goal
-    else:
+    holder = model  # the model, or the action, whose field holds the feature
+    if feat.owner is not None:
         try:
-            act = model.action(feat.owner)
+            holder = model.action(feat.owner)
         except KeyError:
             raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
         if feat.kind is FeatureKind.COST:
-            if act.cost == feat.cost:
+            if holder.cost == feat.cost:
                 raise ChangePreconditionError(f"{feat.render()} is already present")
-            return model.replace_action(act._replace(cost=feat.cost))
-        current = getattr(act, _ACTION_SLOTS[feat.kind])
+            return model.replace_action(holder._replace(cost=feat.cost))
+    slot = _SLOTS[feat.kind]
+    current = getattr(holder, slot)
     if adding and feat.fact in current:
         raise ChangePreconditionError(f"{feat.render()} is already present")
     if not adding and feat.fact not in current:
         raise ChangePreconditionError(f"{feat.render()} is absent")
     updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
-
-    if feat.kind is FeatureKind.INIT:
-        return Model(model.facts, model.actions, updated, model.goal)
-    if feat.kind is FeatureKind.GOAL:
-        return Model(model.facts, model.actions, model.init, updated)
     try:
-        new_act = act._replace(**{_ACTION_SLOTS[feat.kind]: updated})
+        edited = holder._replace(**{slot: updated})
     except ModelError as exc:
         raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
-    return model.replace_action(new_act)
+    return edited if holder is model else model.replace_action(edited)

@@ -23,7 +23,8 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, _check_ident, parse_fact
+from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, _as_fact_set, _check_ident
+from .model import parse_fact
 
 __all__ = [
     "ParseError",
@@ -454,9 +455,9 @@ def _ground(domain: DomainAst, problem: ProblemAst) -> Model:
 
     arities = {p.name: len(p.params) for p in domain.predicates}
 
-    def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> frozenset[Fact]:
+    def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> set[Fact]:
         facts = (_ground_atom(a, binding, arities) for a in lifted)
-        return frozenset(_FACTS.setdefault(f, f) for f in facts) or _NO_FACTS
+        return {_FACTS.setdefault(f, f) for f in facts}
 
     init_facts = atoms(problem.init, {})
     goal_facts = atoms(problem.goal, {})
@@ -482,7 +483,8 @@ def _ground(domain: DomainAst, problem: ProblemAst) -> Model:
             statics = {f for f in pre if f.name not in dynamic}
             if not statics <= init_facts:
                 continue
-            dele = dele - add or _NO_FACTS  # add wins when an action both adds and deletes
+            # add wins when an action both adds and deletes
+            pre, add, dele = map(_as_fact_set, (pre, add, dele - add))
             name = sys.intern("-".join((schema.name,) + combo))
             candidates.append((GroundAction(name, pre, add, dele, cost), schema.name))
 

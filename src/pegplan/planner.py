@@ -388,21 +388,28 @@ def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | No
     return None, expansions, generated
 
 
-def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int | None:
+def plan_cost(plan: Plan | Sequence[str | int], model: Model | CompiledModel) -> int | None:
     """Total cost of executing the plan in the model, or None if infeasible.
 
     Infeasible means an unmet precondition along the way or an unmet goal at
-    the end.  Unknown action names raise :class:`UnknownActionError` instead,
-    since they indicate a plan from a different action universe.
+    the end.  A step is an action name or its index in the compiled model's
+    ops, which a caller checking one plan in many models maps once.  An
+    unknown name or index raises :class:`UnknownActionError` when reached,
+    since it indicates a plan from a different action universe.
     """
     ops, state, goal = compile_model(model)
-    by_name = {op[4]: op for op in ops}
+    by_name = None
     total = 0
-    for name in plan.actions if isinstance(plan, Plan) else plan:
-        op = by_name.get(name)
-        if op is None:
-            raise UnknownActionError(f"model defines no action named {name!r}")
-        pre, add, keep, cost, _ = op
+    for step in plan.actions if isinstance(plan, Plan) else plan:
+        if step.__class__ is not int:
+            if by_name is None:
+                by_name = {op[4]: i for i, op in enumerate(ops)}
+            if step not in by_name:
+                raise UnknownActionError(f"model defines no action named {step!r}")
+            step = by_name[step]
+        elif not 0 <= step < len(ops):
+            raise UnknownActionError(f"model has no op at index {step}")
+        pre, add, keep, cost, _ = ops[step]
         if state & pre != pre:
             return None
         state = (state & keep) | add
@@ -410,4 +417,3 @@ def plan_cost(plan: Plan | Sequence[str], model: Model | CompiledModel) -> int |
     if state & goal != goal:
         return None
     return total
-

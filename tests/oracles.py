@@ -12,7 +12,9 @@ exhaustive enumeration of change orderings (no heuristic search, no subset
 lattice).  A model's digest and the delta between two models come from
 their full :func:`~pegplan.model.gamma` feature sets (the package renders
 feature strings without features and diffs only the actions that differ),
-and :func:`reconstruct` rebuilds a model from its feature set.
+and :func:`reconstruct` rebuilds a model from its feature set.  A perturbed
+model comes from one :func:`~pegplan.apply_change` per removed feature (the
+package builds it in one pass).
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from pegplan import (
     GroundAction,
     Model,
     ModelError,
+    PerturbSpec,
     ReconciliationProblem,
     apply_change,
     delta,
+    eligible_features,
     UnknownActionError,
     optimal_plan,
 )
@@ -47,6 +51,19 @@ def gamma_digest(model: Model) -> str:
     renderings of the model's feature set, the first 12 hex digits."""
     text = "\n".join(sorted(f.render() for f in gamma(model)))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def chained_perturbation(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
+    """:func:`~pegplan.perturb_model` as a chain of ``remove`` changes: the
+    features of :func:`~pegplan.eligible_features` drawn in its order, each
+    removed by :func:`~pegplan.apply_change`."""
+    pool = eligible_features(robot, spec.eligible_kinds)
+    rng = random.Random(spec.seed)
+    removed = [f for f in pool if rng.random() < spec.missing_prob]
+    model = robot
+    for feat in removed:
+        model = apply_change(model, FeatureChange("remove", feat))
+    return model, len(removed), len(pool)
 
 
 def gamma_delta(m1: Model, m2: Model) -> frozenset[FeatureChange]:

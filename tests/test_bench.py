@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import statistics
+import sys
 
 import pytest
 
@@ -24,6 +25,8 @@ from pegplan import (
     sweep_missing_prob,
     trace_to_dict,
 )
+
+from oracles import chained_perturbation
 
 
 class TestPerturbSpec:
@@ -102,6 +105,28 @@ class TestPerturbModel:
         assert {a.name for a in model.actions} == {a.name for a in rover_p01.actions}
         for act in model.actions:
             assert act.cost == rover_p01.action(act.name).cost
+
+    def test_new_fact_sets_are_frozen_to_fit(self, rover_p02):
+        # see tests/test_pddl.py::TestGrounding::test_fact_sets_are_frozen_to_fit
+        kinds = frozenset(FeatureKind) - {FeatureKind.COST}
+        for seed in range(10):
+            model, removed, _ = perturb_model(rover_p02, PerturbSpec(0.2, seed, kinds))
+            used = [model.init, model.goal]
+            for act in model.actions:
+                used += [act.preconditions, act.add_effects, act.delete_effects]
+            assert removed and all(
+                sys.getsizeof(facts) <= sys.getsizeof(frozenset(set(facts))) for facts in used
+            )
+
+    @pytest.mark.parametrize(
+        "kinds", [DEFAULT_ELIGIBLE_KINDS, frozenset(FeatureKind) - {FeatureKind.COST}]
+    )
+    def test_equals_the_apply_change_chain(self, rover_p01, rover_p02, errand_fixture_pair, kinds):
+        for robot in (rover_p01, rover_p02, errand_fixture_pair[0]):
+            for p in (0, 0.05, 0.1, 0.2, 0.5, 1):
+                for seed in range(30):
+                    spec = PerturbSpec(p, seed, kinds)
+                    assert perturb_model(robot, spec) == chained_perturbation(robot, spec), spec
 
 
 class TestRunComparison:

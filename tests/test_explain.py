@@ -10,6 +10,7 @@ import pytest
 from pegplan import (
     BudgetExceededError,
     Fact,
+    FeatureKind,
     GroundAction,
     MetricKind,
     Model,
@@ -34,6 +35,7 @@ from pegplan.metrics import heuristic, rho
 from oracles import (
     constrained_reconciliation,
     exhaustive_min_effort,
+    gamma_digest,
     gamma_is_explanation,
     random_edit,
     random_reconciliation,
@@ -65,6 +67,37 @@ class TestProblemConstruction:
             BudgetExceededError, match="^optimal-plan search exceeded the node budget of 0$"
         ):
             ReconciliationProblem(*errand_pair, node_budget=0)
+
+    def test_robot_plan_is_reused_by_the_budget_rule(self, rover_p01, monkeypatch):
+        human, _, _ = perturb_model(rover_p01, PerturbSpec(0.1, 0))
+        robot = rover_p01._replace()  # a robot object no problem has planned
+        ReconciliationProblem(robot, human)
+        expansions = optimal_plan(robot).expansions
+        planned = []
+
+        def counted(*args, **kwargs):
+            planned.append(args)
+            return optimal_plan(*args, **kwargs)
+
+        def build(robot, budget):
+            planned.clear()
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(explain, "optimal_plan", counted)
+                    problem = ReconciliationProblem(robot, human, node_budget=budget)
+            except BudgetExceededError as exc:
+                return str(exc), len(planned)
+            trace = generate_concise(problem)
+            return (problem.robot_plan, problem.planner_calls(), trace.planner_calls), len(planned)
+
+        for budget in (0, expansions - 1, expansions, expansions + 1, None):
+            reused, replanned = build(robot, budget)
+            assert reused == build(rover_p01._replace(), budget)[0], budget
+            if budget is not None and budget < expansions:
+                assert reused == f"optimal-plan search exceeded the node budget of {budget}"
+                assert replanned == 1
+            else:
+                assert replanned == 0
 
     def test_unsolvable_robot_rejected(self, errand_pair):
         robot, human = errand_pair
@@ -456,6 +489,26 @@ class TestTraceBookkeeping:
         assert trace.steps[0].model_digest == problem.human.digest()
         assert trace.steps[-1].model_digest == problem.robot.digest()
         assert [s.index for s in trace.steps] == [0, 1, 2, 3]
+
+    def test_step_digests_are_the_step_models_digests(
+        self, rover_p01, rover_p02, errand_fixture_pair
+    ):
+        problems = [ReconciliationProblem(*errand_fixture_pair)]
+        problems += [
+            ReconciliationProblem(robot, perturb_model(robot, PerturbSpec(p, seed))[0])
+            for robot, p in ((rover_p01, 0.1), (rover_p02, 0.2))
+            for seed in range(4)
+        ]
+        rng = random.Random(29)
+        problems += [random_reconciliation(rng) for _ in range(40)]
+        cost_changes = 0
+        for problem in problems:
+            for trace in (generate_progressive(problem), generate_concise(problem)):
+                for i, step in enumerate(trace.steps):
+                    model = problem.apply_changes(trace.changes[:i])
+                    assert step.model_digest == gamma_digest(model)
+                cost_changes += sum(c.feature.kind is FeatureKind.COST for c in trace.changes)
+        assert cost_changes > 0  # each replaces one cost feature string by another
 
     def test_sum_rho_for_recomputes_other_metrics(self, errand_pair):
         trace = generate_progressive(errand_problem(errand_pair), metric=MetricKind.P1)

@@ -262,6 +262,15 @@ class TestGrounding:
         names = [name for f in rover_p01.facts for name in (f.name, *f.args)]
         assert all(sys.intern(name) is name for name in names)
 
+    def test_fact_sets_are_frozen_to_fit(self, rover_p02):
+        # A frozenset built fact by fact keeps a table sized for growth, up
+        # to twice the one a frozenset made from a set gets.
+        used = [rover_p02.facts, rover_p02.init, rover_p02.goal]
+        for act in rover_p02.actions:
+            used += [act.preconditions, act.add_effects, act.delete_effects]
+        assert max(map(len, used)) > 4  # past the inline table of a small set
+        assert all(sys.getsizeof(facts) <= sys.getsizeof(frozenset(set(facts))) for facts in used)
+
     def test_two_grounds_share_every_fact_and_action_name(self):
         rover = BENCHMARKS / "rover"
         domain, problem = ((rover / name).read_text() for name in ("domain.pddl", "p01.pddl"))

@@ -343,8 +343,9 @@ class TestPlanCost:
 
 
 class TestPlanCostOracle:
-    """plan_cost, given a model or its compiled form, against the frozenset
-    simulation in ``oracles.simulated_cost``."""
+    """plan_cost, given a model or its compiled form and a plan as action
+    names or, when every name is known, as op indices, against the
+    frozenset simulation in ``oracles.simulated_cost``."""
 
     @staticmethod
     def outcome(cost_of, plan, model):
@@ -355,8 +356,14 @@ class TestPlanCostOracle:
 
     def assert_agrees(self, plan, model):
         want = self.outcome(simulated_cost, plan, model)
-        assert self.outcome(plan_cost, plan, model) == want, (plan, model)
-        assert self.outcome(plan_cost, plan, compile_model(model)) == want, (plan, model)
+        compiled = compile_model(model)
+        index = {op[4]: i for i, op in enumerate(compiled.ops)}
+        forms = [plan]
+        if all(name in index for name in plan):
+            forms.append(tuple(index[name] for name in plan))
+        for form in forms:
+            assert self.outcome(plan_cost, form, model) == want, (form, model)
+            assert self.outcome(plan_cost, form, compiled) == want, (form, model)
         return want
 
     def test_pinned_plans_and_their_prefixes(self, rover_p01, rover_p02):
@@ -390,6 +397,17 @@ class TestPlanCostOracle:
             elif simulated_cost(plan[:1], goal_free) is not None:
                 seen["unmet precondition"] += 1  # at a later step than the first
         assert min(seen.values()) > 0, seen
+
+    def test_op_indices_outside_the_ops_are_unknown(self, rover_p01):
+        compiled = compile_model(rover_p01)
+        blocked = next(i for i, op in enumerate(compiled.ops)
+                       if not rover_p01.action(op[4]).preconditions <= rover_p01.init)
+        for bad in (-1, len(compiled.ops)):
+            for model in (rover_p01, compiled):
+                with pytest.raises(UnknownActionError, match=f"no op at index {bad}"):
+                    plan_cost([bad], model)
+                # as with names, only a step the simulation reaches is checked
+                assert plan_cost([blocked, bad], model) is None
 
 
 if __name__ == "__main__":
