@@ -34,7 +34,7 @@ from .explain import (
     generate_progressive,
 )
 from .metrics import MetricKind
-from .model import _SLOTS, FeatureChange, FeatureKind, Model, _as_fact_set, _feature
+from .model import _ACTION_SLOTS, _SLOTS, FeatureChange, FeatureKind, Model, _as_fact_set, _feature
 from .model import _feature_string, _features
 from .planner import BudgetExceededError
 
@@ -51,14 +51,11 @@ __all__ = [
     "sweep_missing_prob",
     "emit_csv",
     "emit_json",
-    "trace_to_dict",
 ]
 
 # Only structural action features are deleted by default; initial state,
 # goal, and costs are left alone unless explicitly requested.
-DEFAULT_ELIGIBLE_KINDS = frozenset(
-    {FeatureKind.PRECONDITION, FeatureKind.ADD_EFFECT, FeatureKind.DELETE_EFFECT}
-)
+DEFAULT_ELIGIBLE_KINDS = frozenset(_ACTION_SLOTS)
 
 # Largest missing-probability grid a sweep accepts; each probe is a full
 # progressive search, so a finer grid is a typo rather than a study.
@@ -265,18 +262,10 @@ def run_comparison(
         fields, traces = _perturb_and_explain(
             robot, run_spec, ("peg", "concise"), metric, variant, epsilon, node_budget
         )
-        if traces:
-            peg, concise = traces
-            fields.update(
-                peg_size=peg.size,
-                peg_sum_rho_p2=peg.sum_rho_for(MetricKind.P2),
-                peg_expansions=peg.expansions,
-                peg_wall_time=peg.wall_time,
-                concise_size=concise.size,
-                concise_sum_rho_p2=concise.sum_rho_for(MetricKind.P2),
-                concise_expansions=concise.expansions,
-                concise_wall_time=concise.wall_time,
-            )
+        for mode, trace in zip(("peg", "concise"), traces):  # no traces when the run failed
+            fields.update({f"{mode}_size": trace.size, f"{mode}_expansions": trace.expansions,
+                           f"{mode}_sum_rho_p2": trace.sum_rho_for(MetricKind.P2),
+                           f"{mode}_wall_time": trace.wall_time})
         records.append(RunRecord(run_index=i, **fields))
     return _report(
         "comparison", records, robot, {"missing_prob": spec.missing_prob},
@@ -371,8 +360,6 @@ def _jsonable(value):
         return value.value
     if isinstance(value, FeatureChange):
         return {"direction": value.direction, "feature": value.feature.render()}
-    if isinstance(value, frozenset):
-        return sorted(_jsonable(v) for v in value)
     if hasattr(value, "_fields"):  # a record: before the tuple it also is
         return {name: _jsonable(getattr(value, name)) for name in value._fields}
     if isinstance(value, (list, tuple)):
@@ -380,12 +367,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def trace_to_dict(trace: ExplanationTrace) -> dict:
-    """The trace as plain JSON-ready data, as :func:`emit_json` writes it,
-    for callers that post-process a trace rather than parse its text."""
-    return _jsonable(trace)
 
 
 def emit_json(obj: ExplanationTrace | Report) -> str:

@@ -96,6 +96,13 @@ def _epsilon(args) -> Fraction:
 _SEED_DIGITS = 1000
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
     """argparse type for seeds of at most :data:`_SEED_DIGITS` digits."""
     digits = sum(c.isdigit() for c in text)
@@ -103,20 +110,14 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected at most {_SEED_DIGITS} digits, got {digits}"
         )
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    return _integer(text)
 
 
 def _int_at_least(lowest: int) -> Callable[[str], int]:
     """argparse type for integers no smaller than ``lowest``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _integer(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
         return value
@@ -234,7 +235,7 @@ def _build_problem(args) -> ReconciliationProblem:
 def _cmd_explain(args) -> int:
     epsilon = _epsilon(args)
     problem = _build_problem(args)
-    metric = MetricKind.from_name(args.metric)
+    metric = MetricKind(args.metric)
     if args.mode == "concise":
         trace = generate_concise(problem, metric=metric)
     else:
@@ -306,7 +307,7 @@ def _cmd_study(args) -> int:
         grid = dict(
             p_lo=args.p_lo, p_hi=args.p_hi, p_step=args.p_step, seed=args.seed, eligible_kinds=kinds
         )
-    report = study(robot, metric=MetricKind.from_name(args.metric), variant=args.variant,
+    report = study(robot, metric=MetricKind(args.metric), variant=args.variant,
                    epsilon=epsilon, node_budget=_node_budget(args), **grid)
     _output(args, report)
     return 0

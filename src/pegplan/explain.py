@@ -237,26 +237,19 @@ class ReconciliationProblem:
         """Cost of the robot plan in ``model``, or None when infeasible."""
         return plan_cost(self._robot_steps, model)
 
-    def anchored_plan(self, model: Model | CompiledModel) -> tuple[str, ...]:
-        """The model's canonical optimal plan, anchored to the robot plan.
-
-        When the robot plan is among the model's optima it is taken as the
-        canonical choice, so a finished reconciliation always lands exactly
-        on the plan being explained; otherwise the model's canonical plan
-        (see :func:`~pegplan.planner.optimal_plan`) is used, and the empty
-        plan for unsolvable models.  The searches take it from
-        :meth:`_cost_and_plan`; ``tests/oracles.py`` calls this method to
-        score its exhaustive reference search.
-        """
-        return self._cost_and_plan(model)[1]
-
     def _cost_and_plan(
         self, model: Model | CompiledModel, plan: Plan | None = None
     ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
         """cost*(model), 0 when unsolvable, the anchored plan, and the
         canonical plan (None when unsolvable).  A caller that has already
         proven ``plan`` the model's canonical plan passes it, and the model
-        is not planned."""
+        is not planned.
+
+        The anchored plan is the robot plan when it is among the model's
+        optima, so a finished reconciliation lands exactly on the plan being
+        explained; otherwise the model's canonical plan (see
+        :func:`~pegplan.planner.optimal_plan`), and () when unsolvable.
+        """
         state = self._compile(model)
         if plan is None:
             result = self.plan_result(state)
@@ -618,7 +611,7 @@ def generate_progressive(
             cost, _, optimum = parent.info
             if optimum is None:
                 return parent.info  # no plan to lose: still unsolvable
-            if plan_cost(optimum, state) == cost:
+            if plan_cost(tuple(problem._op_index[a] for a in optimum), state) == cost:
                 return problem._cost_and_plan(state, Plan(optimum, cost))
         return problem._cost_and_plan(state)
 

@@ -13,6 +13,7 @@ import re
 import sys
 from enum import Enum
 from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable
 
 # The built-in sha256, imported as ``random`` imports its sha512: through
@@ -76,12 +77,38 @@ def _check_ident(text: str, what: str) -> str:
 
 
 class _Value:
-    """Base of the slotted, immutable model values.  Each names its
-    constructor's arguments in ``_fields``, the order ``repr`` shows them, and
-    spells out its own ``__eq__`` and ``__hash__``: generic ones over
-    ``_fields`` (by ``attrgetter``) made ``Fact ==`` about twice as slow."""
+    """Base of the slotted, immutable model values: each names its
+    constructor's arguments in ``_fields`` and stores them with one ``_set``.
+    Equality, hashing and, for the classes that take ``_lt`` as ``__lt__``,
+    order follow ``_key``: the ``_fields`` tuple, or a :class:`Feature`'s
+    rendered string.  :class:`Fact` spells out its own, with a cached hash:
+    grounding hashes and compares facts in its inner loop, and the generic
+    ones made each ``ground`` of rover p02 about 10% slower (2.25 to 2.49 ms,
+    best of 5 on Python 3.11, a shared 2-vCPU VM)."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order: how a constructor stores its value."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls) -> None:
+        if "_key" not in vars(cls):  # in C: a generator here made delta 30% slower
+            cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def _lt(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -175,22 +202,7 @@ class GroundAction(_Value):
         if overlap:
             names = ", ".join(sorted(f.render() for f in overlap))
             raise ModelError(f"action {name}: add and delete effects overlap on {names}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "preconditions", preconditions)
-        object.__setattr__(self, "add_effects", add_effects)
-        object.__setattr__(self, "delete_effects", delete_effects)
-        object.__setattr__(self, "cost", cost)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.preconditions, self.add_effects, self.delete_effects,
-                    self.cost) == (other.name, other.preconditions, other.add_effects,
-                                   other.delete_effects, other.cost)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.preconditions, self.add_effects, self.delete_effects,
-                     self.cost))
+        self._set(name, preconditions, add_effects, delete_effects, cost)
 
 
 def _as_fact_set(facts: Iterable[Fact]) -> frozenset[Fact]:
@@ -228,20 +240,7 @@ class Model(_Value):
                     f"{label} references facts outside the universe: "
                     + ", ".join(sorted(f.render() for f in missing))
                 )
-        object.__setattr__(self, "facts", facts)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "init", init)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "_plan_result", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.facts, self.actions, self.init, self.goal) == (
-                other.facts, other.actions, other.init, other.goal)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.facts, self.actions, self.init, self.goal))
+        self._set(facts, actions, init, goal, None)
 
     def action(self, name: str) -> GroundAction:
         for act in self.actions:
@@ -259,12 +258,6 @@ class Model(_Value):
         if extra <= self.facts:
             return self
         return Model(self.facts | extra, self.actions, self.init, self.goal)
-
-    def replace_action(self, action: GroundAction) -> "Model":
-        rest = tuple(a for a in self.actions if a.name != action.name)
-        if len(rest) == len(self.actions):
-            raise InvalidEditError(f"model has no action named {action.name!r}")
-        return Model(self.facts, rest + (action,), self.init, self.goal)
 
     def digest(self) -> str:
         """Short stable hash of the model's feature content.
@@ -341,7 +334,8 @@ class Feature(_Value):
     hashed) by its rendered string, ``sort_index``."""
 
     _fields = ("kind", "owner", "fact", "cost")
-    __slots__ = ("sort_index",) + _fields
+    __slots__ = _fields + ("sort_index",)
+    __lt__ = _Value._lt
 
     def __init__(self, kind: FeatureKind, owner: str | None = None, fact: Fact | None = None,
                  cost: int | None = None) -> None:
@@ -358,26 +352,13 @@ class Feature(_Value):
             if owner is None or fact is None or cost is not None:
                 raise ModelError(f"{kind.value} features carry an owner and a fact")
             _check_ident(owner, "action name")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "fact", fact)
-        object.__setattr__(self, "cost", cost)
         value = cost if kind is FeatureKind.COST else fact.render()
         # interned: equal features, from any model, share one string
-        object.__setattr__(self, "sort_index", sys.intern(_feature_string(kind, owner, value)))
+        self._set(kind, owner, fact, cost, sys.intern(_feature_string(kind, owner, value)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sort_index,) == (other.sort_index,)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sort_index,) < (other.sort_index,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.sort_index,))
+    @property
+    def _key(self) -> tuple:
+        return (self.sort_index,)
 
     def render(self) -> str:
         return self.sort_index
@@ -416,25 +397,12 @@ class FeatureChange(_Value):
     """
 
     __slots__ = _fields = ("direction", "feature")
+    __lt__ = _Value._lt
 
     def __init__(self, direction: str, feature: Feature) -> None:
         if direction not in ("add", "remove"):
             raise ModelError(f"invalid change direction {direction!r}")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "feature", feature)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.direction, self.feature) == (other.direction, other.feature)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.direction, self.feature) < (other.direction, other.feature)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.feature))
+        self._set(direction, feature)
 
     def render(self) -> str:
         return f"{self.direction} {self.feature.render()}"
@@ -523,19 +491,22 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
             holder = model.action(feat.owner)
         except KeyError:
             raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
-        if feat.kind is FeatureKind.COST:
-            if holder.cost == feat.cost:
-                raise ChangePreconditionError(f"{feat.render()} is already present")
-            return model.replace_action(holder._replace(cost=feat.cost))
-    slot = _SLOTS[feat.kind]
-    current = getattr(holder, slot)
-    if adding and feat.fact in current:
-        raise ChangePreconditionError(f"{feat.render()} is already present")
-    if not adding and feat.fact not in current:
-        raise ChangePreconditionError(f"{feat.render()} is absent")
-    updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
-    try:
-        edited = holder._replace(**{slot: updated})
-    except ModelError as exc:
-        raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
-    return edited if holder is model else model.replace_action(edited)
+    if feat.kind is FeatureKind.COST:
+        if holder.cost == feat.cost:
+            raise ChangePreconditionError(f"{feat.render()} is already present")
+        edited = holder._replace(cost=feat.cost)
+    else:
+        slot = _SLOTS[feat.kind]
+        current = getattr(holder, slot)
+        if adding and feat.fact in current:
+            raise ChangePreconditionError(f"{feat.render()} is already present")
+        if not adding and feat.fact not in current:
+            raise ChangePreconditionError(f"{feat.render()} is absent")
+        updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
+        try:
+            edited = holder._replace(**{slot: updated})
+        except ModelError as exc:
+            raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
+    if holder is model:
+        return edited
+    return model._replace(actions=[edited if a is holder else a for a in model.actions])

@@ -407,10 +407,6 @@ def _ground_atom(atom: LiftedAtom, binding: dict[str, str], arities: dict[str, i
     return Fact(atom.name, args)
 
 
-# One Fact object per distinct ground atom, across every call of ground().
-_FACTS: dict[Fact, Fact] = {}
-
-
 def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     """Ground a domain/problem pair into a model.
 
@@ -424,12 +420,11 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     or delete-relaxed reachability) are pruned; actions whose delete
     effects overlap their add effects are normalized with the add winning.
 
-    Every model ground in a process shares one object per atom and per
-    action name: facts come from one module-level table, and names are
-    interned by ``sys.intern``.  Set operations over a model's facts, and
-    over every model edited from it, then match facts by identity, and the
-    models a study keeps hold one copy of each.  Like ``sys.intern``'s
-    table, the fact table grows only with the distinct atoms ground.
+    A model holds one object per atom: each call keeps a table of the facts
+    it has ground, dropped when the call returns.  Set operations over a
+    model's facts, and over every model edited from it, then match facts by
+    identity.  Action names are interned by ``sys.intern``, so every model
+    ground in a process shares one string per name.
     """
     try:
         return _ground(domain, problem)
@@ -454,10 +449,11 @@ def _ground(domain: DomainAst, problem: ProblemAst) -> Model:
         objs.sort()
 
     arities = {p.name: len(p.params) for p in domain.predicates}
+    shared: dict[Fact, Fact] = {}  # one object per atom ground in this call
 
     def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> set[Fact]:
         facts = (_ground_atom(a, binding, arities) for a in lifted)
-        return {_FACTS.setdefault(f, f) for f in facts}
+        return {shared.setdefault(f, f) for f in facts}
 
     init_facts = atoms(problem.init, {})
     goal_facts = atoms(problem.goal, {})

@@ -54,6 +54,15 @@ class TestPlan:
         assert dispatch(["plan"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_fixture_without_robot_model_is_a_domain_error(self, tmp_path, capsys):
+        fixture = tmp_path / "pair.model"
+        solo = UNSOLVABLE_FIXTURE.replace("model only\n", "")
+        fixture.write_text(f"model b\n{solo}\nmodel a\n{solo}")
+        assert dispatch(["plan", "--fixture", str(fixture)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: fixture {fixture} defines no 'robot' model (found: a, b)\n"
+        )
+
     def test_unsolvable_model(self, tmp_path, capsys):
         fixture = tmp_path / "stuck.model"
         fixture.write_text(UNSOLVABLE_FIXTURE)
@@ -161,6 +170,22 @@ class TestExplain:
         fixture.write_text(UNSOLVABLE_FIXTURE.replace("pre: miracle", "pre:"))
         assert dispatch(["explain", "--fixture", str(fixture)]) == 1
         assert "must define models named" in capsys.readouterr().err
+
+    def test_robot_pddl_files_alone_are_a_domain_error(self, capsys):
+        rc = dispatch(["explain", "--robot-domain", ROVER_DOMAIN, "--robot-problem", ROVER_P01])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: expected --fixture or all of --robot-domain, --robot-problem, "
+            "--human-domain, --human-problem\n"
+        )
+
+    def test_malformed_plan_line_is_a_domain_error(self, tmp_path, capsys):
+        plan_file = tmp_path / "plan.txt"
+        plan_file.write_text("(visit-park-cheap)\nbogus\n")
+        assert dispatch(["explain", "--fixture", FIXTURE, "--plan", str(plan_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed plan line 'bogus': expected (name arg1 arg2)\n"
+        )
 
     def test_bad_epsilon_rejected(self, capsys):
         assert dispatch(["explain", "--fixture", FIXTURE, "--epsilon", "0.1.2"]) == 1
@@ -318,6 +343,15 @@ class TestBenchAndSweep:
                 f"pegplan {study}: error: argument --seed: expected at most 1000 digits, "
                 f"got {len(seed.lstrip('-'))}"
             )
+
+    @pytest.mark.parametrize("study", ["bench", "sweep"])
+    def test_non_integer_seed_is_a_usage_error(self, study, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([study, "--fixture", FIXTURE, "--seed", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"pegplan {study}: error: argument --seed: expected an integer, got 'abc'"
+        )
 
     @pytest.mark.parametrize(
         "study", ["bench --runs 2", "sweep --p-lo 0.1 --p-hi 0.2 --p-step 0.1"]

@@ -233,7 +233,7 @@ def test_every_lattice_plan_is_a_plan_of_the_most_relaxed_model():
                 if planned is not None:
                     cost, plan = planned
                     assert c_min <= cost, (i, [c.render() for c in subset])
-                    for actions in (plan, problem.anchored_plan(model)):
+                    for actions in (plan, problem._cost_and_plan(model)[1]):
                         assert length_floor <= len(actions)
                     sequences.append(plan)
                     starts.append(state.init)

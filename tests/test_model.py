@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +73,11 @@ class TestActionsAndModels:
     def test_negative_cost_rejected(self):
         with pytest.raises(ModelError):
             GroundAction("a", frozenset(), frozenset({P}), frozenset(), -1)
+
+    @pytest.mark.parametrize("cost", [1.5, True])
+    def test_non_int_cost_rejected(self, cost):
+        with pytest.raises(ModelError, match="^action a: cost must be an int$"):
+            GroundAction("a", frozenset(), frozenset({P}), frozenset(), cost)
 
     @pytest.mark.parametrize("name", ["init", "goal"])
     def test_reserved_action_names_rejected(self, name):
@@ -204,6 +210,24 @@ class TestValueSemantics:
         with pytest.raises(TypeError):
             value < tuple(getattr(value, field) for field in value._fields)
 
+    @pytest.mark.parametrize("name", ["GroundAction", "Model"])
+    def test_actions_and_models_are_unordered(self, name):
+        value, twin = value_pairs()[name]
+        for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b,
+                        lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                compare(value, twin)
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_hash_is_the_hash_of_the_key(self, name):
+        # Set orders, and so every output, rest on these hashes staying put.
+        value, _ = value_pairs()[name]
+        if name == "Feature":
+            key = (value.render(),)
+        else:
+            key = tuple(getattr(value, field) for field in value._fields)
+        assert hash(value) == hash(key)
+
     def test_sorted_orders_features_by_rendered_string(self):
         features = [
             Feature(FeatureKind.INIT, fact=Fact("z")),
@@ -325,6 +349,15 @@ class TestFeatureGrammar:
         with pytest.raises(ModelError):
             Feature(FeatureKind.INIT, owner="go", fact=P)
 
+    def test_cost_feature_rejects_a_negative_cost(self):
+        with pytest.raises(ModelError, match="^cost features carry a non-negative integer$"):
+            Feature(FeatureKind.COST, "a", cost=-1)
+
+    def test_precondition_feature_requires_a_fact(self):
+        message = "^precondition features carry an owner and a fact$"
+        with pytest.raises(ModelError, match=message):
+            Feature(FeatureKind.PRECONDITION, "a")
+
     def test_change_round_trip(self):
         for text in ("add init-has-p", "remove go-has-precondition-p"):
             assert parse_change(text).render() == text
@@ -332,6 +365,9 @@ class TestFeatureGrammar:
     def test_change_rejects_bad_direction(self):
         with pytest.raises(ModelError):
             parse_change("toggle init-has-p")
+        feature = Feature(FeatureKind.INIT, fact=P)
+        with pytest.raises(ModelError, match=re.escape("invalid change direction 'toggle'")):
+            FeatureChange("toggle", feature)
 
 
 class TestGammaReconstruct:
