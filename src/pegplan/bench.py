@@ -51,6 +51,7 @@ __all__ = [
     "sweep_missing_prob",
     "emit_csv",
     "emit_json",
+    "trace_to_dict",
 ]
 
 # Only structural action features are deleted by default; initial state,
@@ -262,10 +263,14 @@ def run_comparison(
         fields, traces = _perturb_and_explain(
             robot, run_spec, ("peg", "concise"), metric, variant, epsilon, node_budget
         )
-        for mode, trace in zip(("peg", "concise"), traces):  # no traces when the run failed
-            fields.update({f"{mode}_size": trace.size, f"{mode}_expansions": trace.expansions,
-                           f"{mode}_sum_rho_p2": trace.sum_rho_for(MetricKind.P2),
-                           f"{mode}_wall_time": trace.wall_time})
+        # no traces when the run failed
+        for mode, trace in zip(("peg", "concise"), traces):
+            fields.update({
+                f"{mode}_size": trace.size,
+                f"{mode}_sum_rho_p2": trace.sum_rho_for(MetricKind.P2),
+                f"{mode}_expansions": trace.expansions,
+                f"{mode}_wall_time": trace.wall_time,
+            })
         records.append(RunRecord(run_index=i, **fields))
     return _report(
         "comparison", records, robot, {"missing_prob": spec.missing_prob},
@@ -367,6 +372,12 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
+
+
+def trace_to_dict(trace: ExplanationTrace) -> dict:
+    """The trace as plain JSON-ready data, as :func:`emit_json` writes it,
+    for callers that post-process a trace rather than parse its text."""
+    return _jsonable(trace)
 
 
 def emit_json(obj: ExplanationTrace | Report) -> str:

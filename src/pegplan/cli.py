@@ -235,7 +235,7 @@ def _build_problem(args) -> ReconciliationProblem:
 def _cmd_explain(args) -> int:
     epsilon = _epsilon(args)
     problem = _build_problem(args)
-    metric = MetricKind(args.metric)
+    metric = MetricKind.from_name(args.metric)
     if args.mode == "concise":
         trace = generate_concise(problem, metric=metric)
     else:
@@ -307,7 +307,7 @@ def _cmd_study(args) -> int:
         grid = dict(
             p_lo=args.p_lo, p_hi=args.p_hi, p_step=args.p_step, seed=args.seed, eligible_kinds=kinds
         )
-    report = study(robot, metric=MetricKind(args.metric), variant=args.variant,
+    report = study(robot, metric=MetricKind.from_name(args.metric), variant=args.variant,
                    epsilon=epsilon, node_budget=_node_budget(args), **grid)
     _output(args, report)
     return 0

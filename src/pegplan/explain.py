@@ -194,9 +194,10 @@ class ReconciliationProblem:
         # The lattice in compiled form: each node is the human state with
         # the edits of its changes applied.  Search nodes are bitmasks over
         # the relevant changes in render order, so heap tie-breaks compare
-        # change indices where they would compare strings.
+        # change indices where they would compare strings.  Render order is
+        # the changes' own order; keying the sort on it skips their ``__lt__``.
         self._human_state = self._compile(self.human)
-        changes = sorted(self.pool)
+        changes = sorted(self.pool, key=FeatureChange.render)
         edits = compile_edits(self.human, changes, self._bits)
         self._relaxed, constrained = envelope(self._human_state, robot_state)
         self._relaxed_cost: int | None = None  # cost*(M_r), planned on first use

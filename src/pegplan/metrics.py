@@ -58,6 +58,13 @@ class MetricKind(Enum):
     P3 = "p3"
     P4 = "p4"
 
+    @classmethod
+    def from_name(cls, name: str) -> "MetricKind":
+        try:
+            return cls(name.lower())
+        except ValueError:
+            raise ValueError(f"unknown metric {name!r}: expected p1, p2, p3, or p4") from None
+
 
 def plan_edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """Levenshtein distance over action sequences (unit edit costs)."""

@@ -259,6 +259,12 @@ class Model(_Value):
             return self
         return Model(self.facts | extra, self.actions, self.init, self.goal)
 
+    def replace_action(self, action: GroundAction) -> "Model":
+        rest = tuple(a for a in self.actions if a.name != action.name)
+        if len(rest) == len(self.actions):
+            raise InvalidEditError(f"model has no action named {action.name!r}")
+        return Model(self.facts, rest + (action,), self.init, self.goal)
+
     def digest(self) -> str:
         """Short stable hash of the model's feature content.
 
@@ -491,22 +497,19 @@ def apply_change(model: Model, change: FeatureChange) -> Model:
             holder = model.action(feat.owner)
         except KeyError:
             raise InvalidEditError(f"model has no action named {feat.owner!r}") from None
-    if feat.kind is FeatureKind.COST:
-        if holder.cost == feat.cost:
-            raise ChangePreconditionError(f"{feat.render()} is already present")
-        edited = holder._replace(cost=feat.cost)
-    else:
-        slot = _SLOTS[feat.kind]
-        current = getattr(holder, slot)
-        if adding and feat.fact in current:
-            raise ChangePreconditionError(f"{feat.render()} is already present")
-        if not adding and feat.fact not in current:
-            raise ChangePreconditionError(f"{feat.render()} is absent")
-        updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
-        try:
-            edited = holder._replace(**{slot: updated})
-        except ModelError as exc:
-            raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
-    if holder is model:
-        return edited
-    return model._replace(actions=[edited if a is holder else a for a in model.actions])
+        if feat.kind is FeatureKind.COST:
+            if holder.cost == feat.cost:
+                raise ChangePreconditionError(f"{feat.render()} is already present")
+            return model.replace_action(holder._replace(cost=feat.cost))
+    slot = _SLOTS[feat.kind]
+    current = getattr(holder, slot)
+    if adding and feat.fact in current:
+        raise ChangePreconditionError(f"{feat.render()} is already present")
+    if not adding and feat.fact not in current:
+        raise ChangePreconditionError(f"{feat.render()} is absent")
+    updated = current | {feat.fact} if adding else (current - {feat.fact} or _NO_FACTS)
+    try:
+        edited = holder._replace(**{slot: updated})
+    except ModelError as exc:
+        raise InvalidEditError(f"cannot apply {change.render()}: {exc}") from None
+    return edited if holder is model else model.replace_action(edited)

@@ -490,10 +490,15 @@ def constrained_reconciliation(rng: random.Random, max_pool: int = 6) -> Reconci
         human = robot
         for name, fact in rng.sample(movable, min(len(movable), rng.randint(1, 2))):
             act = human.action(name)
-            moved = act._replace(
-                add_effects=act.add_effects | {fact}, delete_effects=act.delete_effects - {fact}
+            human = human.replace_action(
+                GroundAction(
+                    name,
+                    act.preconditions,
+                    act.add_effects | {fact},
+                    act.delete_effects - {fact},
+                    act.cost,
+                )
             )
-            human = human._replace(actions=[moved if a is act else a for a in human.actions])
         for _ in range(rng.randint(0, 2)):
             change = random_edit(rng, human)
             if change is None:

@@ -23,6 +23,7 @@ from pegplan import (
     perturb_model,
     run_comparison,
     sweep_missing_prob,
+    trace_to_dict,
 )
 
 from oracles import chained_perturbation
@@ -232,8 +233,6 @@ class TestSerialization:
             ReconciliationProblem(robot, human), metric=MetricKind.P1
         )
         payload = json.loads(emit_json(trace))
-        assert payload["mode"] == "peg"
-        assert payload["complete"] is True
         assert payload["metric"] == "p1"
         assert payload["epsilon"] == "1/1000"
         assert payload["sum_rho"] == 6
@@ -242,7 +241,6 @@ class TestSerialization:
             "feature": "init-has-not-holiday",
         }
         assert [s["cost_star"] for s in payload["steps"]] == [5, 10, 10, 9]
-        assert len(payload["steps"]) == trace.size + 1
 
     def test_report_json_contains_config_and_averages(self, errand_pair):
         robot, _ = errand_pair
@@ -257,3 +255,10 @@ class TestSerialization:
             "concise_expansions", "concise_wall_time",
         }
 
+    def test_trace_to_dict_mirrors_fields(self, errand_pair):
+        robot, human = errand_pair
+        trace = generate_progressive(ReconciliationProblem(robot, human))
+        d = trace_to_dict(trace)
+        assert d["mode"] == "peg"
+        assert d["complete"] is True
+        assert len(d["steps"]) == trace.size + 1

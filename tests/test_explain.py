@@ -349,9 +349,8 @@ class TestProgressive:
         # the human also overprices visit-park; correcting that first makes
         # the cost trajectory gentler, so the search spends the extra change
         robot, human = errand_pair
-        park = GroundAction("visit-park", frozenset(), frozenset({Fact("happy")}), frozenset(), 11)
-        human2 = human._replace(
-            actions=[park if a.name == park.name else a for a in human.actions]
+        human2 = human.replace_action(
+            GroundAction("visit-park", frozenset(), frozenset({Fact("happy")}), frozenset(), 11)
         )
         problem = ReconciliationProblem(robot, human2)
         assert len(problem.pool) == 4

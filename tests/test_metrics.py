@@ -34,6 +34,15 @@ def node(cur_cost=0, cur_plan=(), target_plan=(), target_cost=0):
     return (cur_cost, cur_plan), (target_cost, target_plan)
 
 
+class TestMetricKind:
+    def test_from_name_is_case_insensitive(self):
+        assert MetricKind.from_name("P3") is MetricKind.P3
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            MetricKind.from_name("p9")
+
+
 class TestRho:
     def test_p1_is_absolute_cost_difference(self):
         assert rho(MetricKind.P1, *step(prev_cost=5, cur_cost=10)) == 5
