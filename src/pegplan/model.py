@@ -132,7 +132,9 @@ class Fact(_Value):
     """A ground atom, rendered as ``name`` or ``name(arg1,arg2,...)``."""
 
     _fields = ("name", "args")
-    __slots__ = _fields + ("_hash",)  # computed once: fact-set lookups hash every fact
+    # _hash is computed once, as fact-set lookups hash every fact; the weak
+    # reference lets grounding's table of live facts drop one no model holds.
+    __slots__ = _fields + ("_hash", "__weakref__")
 
     def __init__(self, name: str, args: tuple[str, ...] = ()) -> None:
         _check_ident(name, "fact name")

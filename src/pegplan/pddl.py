@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 import sys
+import weakref
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -407,6 +408,17 @@ def _ground_atom(atom: LiftedAtom, binding: dict[str, str], arities: dict[str, i
     return Fact(atom.name, args)
 
 
+# One Fact object per distinct ground atom that some live model holds.  Each
+# ground call also keeps a plain dict of its own facts: a weak table's
+# lookups run in Python, and most atoms repeat within a call.
+_LIVE_FACTS: weakref.WeakValueDictionary[tuple, Fact] = weakref.WeakValueDictionary()
+
+
+def _live_fact(fact: Fact) -> Fact:
+    # keyed by the fact's fields: a Fact key would keep its value alive
+    return _LIVE_FACTS.setdefault((fact.name, fact.args), fact)
+
+
 def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     """Ground a domain/problem pair into a model.
 
@@ -420,11 +432,12 @@ def ground(domain: DomainAst, problem: ProblemAst) -> Model:
     or delete-relaxed reachability) are pruned; actions whose delete
     effects overlap their add effects are normalized with the add winning.
 
-    A model holds one object per atom: each call keeps a table of the facts
-    it has ground, dropped when the call returns.  Set operations over a
-    model's facts, and over every model edited from it, then match facts by
-    identity.  Action names are interned by ``sys.intern``, so every model
-    ground in a process shares one string per name.
+    Models share one object per atom while any of them holds it: facts
+    come from a module-level table of weak references, so, like the strings
+    ``sys.intern`` keeps, a fact that no model holds is freed.  Set
+    operations over a model's facts, and over every model edited from it,
+    then match facts by identity, and the models a study keeps hold one copy
+    of each.  Action names are interned by ``sys.intern``.
     """
     try:
         return _ground(domain, problem)
@@ -453,7 +466,7 @@ def _ground(domain: DomainAst, problem: ProblemAst) -> Model:
 
     def atoms(lifted: Iterable[LiftedAtom], binding: dict[str, str]) -> set[Fact]:
         facts = (_ground_atom(a, binding, arities) for a in lifted)
-        return {shared.setdefault(f, f) for f in facts}
+        return {shared.get(f) or shared.setdefault(f, _live_fact(f)) for f in facts}
 
     init_facts = atoms(problem.init, {})
     goal_facts = atoms(problem.goal, {})

@@ -1,5 +1,6 @@
 """Parser, grounder, and fixture-format tests."""
 
+import gc
 import re
 import sys
 
@@ -271,20 +272,17 @@ class TestGrounding:
         assert max(map(len, used)) > 4  # past the inline table of a small set
         assert all(sys.getsizeof(facts) <= sys.getsizeof(frozenset(set(facts))) for facts in used)
 
-    def test_a_ground_shares_its_facts_and_every_ground_the_action_names(self):
+    def test_two_grounds_share_every_fact_and_action_name(self):
         rover = BENCHMARKS / "rover"
         domain, problem = ((rover / name).read_text() for name in ("domain.pddl", "p01.pddl"))
         first, second = (ground(parse_domain(domain), parse_problem(problem)) for _ in range(2))
         assert first == second
-        for model in (first, second):
-            facts = {f: f for f in model.facts}
-            used = [model.init, model.goal]
-            for act in model.actions:
-                used += [act.preconditions, act.add_effects, act.delete_effects]
-            assert all(facts[f] is f for facts_used in used for f in facts_used)
-        # No fact table outlives a call: the second ground made its own facts.
-        first_ids = {id(f) for f in first.facts}
-        assert not any(id(f) in first_ids for f in second.facts)
+        facts = {f: f for f in first.facts}
+        assert all(facts[f] is f for f in second.facts)
+        used = [second.init, second.goal]
+        for act in second.actions:
+            used += [act.preconditions, act.add_effects, act.delete_effects]
+        assert all(facts[f] is f for facts_used in used for f in facts_used)
         assert all(a.name is b.name for a, b in zip(first.actions, second.actions))
 
     def test_a_new_atom_still_grounds(self):
@@ -305,9 +303,13 @@ class TestGrounding:
         model = ground(domain, problem)
         (fact,) = model.goal
         assert fact == Fact("lit", ("lamp-only-ground-here",))
-        tables = [v for v in vars(pddl).values() if isinstance(v, (dict, set, frozenset))]
-        assert not any(fact in table for table in tables)  # no module-level fact table
+        key = ("lit", ("lamp-only-ground-here",))
+        assert pddl._LIVE_FACTS[key] is fact
         assert optimal_plan(model).plan.actions == ("light-lamp-only-ground-here",)
+        del model, fact
+        gc.collect()
+        # like a string sys.intern keeps, a fact no model holds is freed
+        assert key not in pddl._LIVE_FACTS
 
     def test_add_wins_when_effects_overlap(self):
         model = ground(parse_domain(TOGGLER), parse_problem(TOGGLER_PROBLEM))
