@@ -51,7 +51,6 @@ __all__ = [
     "sweep_missing_prob",
     "emit_csv",
     "emit_json",
-    "trace_to_dict",
 ]
 
 # Only structural action features are deleted by default; initial state,
@@ -372,12 +371,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def trace_to_dict(trace: ExplanationTrace) -> dict:
-    """The trace as plain JSON-ready data, as :func:`emit_json` writes it,
-    for callers that post-process a trace rather than parse its text."""
-    return _jsonable(trace)
 
 
 def emit_json(obj: ExplanationTrace | Report) -> str:

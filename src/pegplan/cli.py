@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,26 +43,9 @@ from .planner import PlanningError, optimal_plan
 
 __all__ = ["dispatch", "main"]
 
-_ENV_BUDGET = "PEG_NODE_BUDGET"
-
 
 class _CliError(Exception):
     """Domain-level failure: message printed to stderr, exit code 1."""
-
-
-def _node_budget(args) -> int | None:
-    if args.node_budget is not None:
-        return args.node_budget
-    raw = os.environ.get(_ENV_BUDGET)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _CliError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise _CliError(f"{_ENV_BUDGET} must be non-negative, got {raw!r}")
-    return value
 
 
 # Most digits --epsilon may give its numerator or its denominator.  Fraction
@@ -212,7 +194,7 @@ def _output(args, obj: ExplanationTrace | Report) -> None:
 
 def _cmd_plan(args) -> int:
     (model,) = _load_models(args, human=False)
-    result = optimal_plan(model, node_budget=_node_budget(args))
+    result = optimal_plan(model, node_budget=args.node_budget)
     print(f"expansions = {result.expansions}\ngenerated = {result.generated}", file=sys.stderr)
     if not result.solvable:
         raise _CliError("the model is unsolvable")
@@ -229,13 +211,13 @@ def _cmd_plan(args) -> int:
 def _build_problem(args) -> ReconciliationProblem:
     robot, human = _load_models(args, human=True)
     plan = _read_plan_file(args.plan) if args.plan else None
-    return ReconciliationProblem(robot, human, robot_plan=plan, node_budget=_node_budget(args))
+    return ReconciliationProblem(robot, human, robot_plan=plan, node_budget=args.node_budget)
 
 
 def _cmd_explain(args) -> int:
     epsilon = _epsilon(args)
     problem = _build_problem(args)
-    metric = MetricKind.from_name(args.metric)
+    metric = MetricKind(args.metric)
     if args.mode == "concise":
         trace = generate_concise(problem, metric=metric)
     else:
@@ -307,8 +289,8 @@ def _cmd_study(args) -> int:
         grid = dict(
             p_lo=args.p_lo, p_hi=args.p_hi, p_step=args.p_step, seed=args.seed, eligible_kinds=kinds
         )
-    report = study(robot, metric=MetricKind.from_name(args.metric), variant=args.variant,
-                   epsilon=epsilon, node_budget=_node_budget(args), **grid)
+    report = study(robot, metric=MetricKind(args.metric), variant=args.variant,
+                   epsilon=epsilon, node_budget=args.node_budget, **grid)
     _output(args, report)
     return 0
 
@@ -324,7 +306,7 @@ def _add_model_inputs(parser: argparse.ArgumentParser, human: bool = True) -> No
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--node-budget", type=_int_at_least(0), default=None,
-                        help=f"search-node budget (default: ${_ENV_BUDGET} or unlimited)")
+                        help="search-node budget (default: unlimited)")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=formats[0])
 

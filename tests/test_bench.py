@@ -23,7 +23,6 @@ from pegplan import (
     perturb_model,
     run_comparison,
     sweep_missing_prob,
-    trace_to_dict,
 )
 
 from oracles import chained_perturbation
@@ -255,10 +254,10 @@ class TestSerialization:
             "concise_expansions", "concise_wall_time",
         }
 
-    def test_trace_to_dict_mirrors_fields(self, errand_pair):
+    def test_json_trace_mirrors_fields(self, errand_pair):
         robot, human = errand_pair
         trace = generate_progressive(ReconciliationProblem(robot, human))
-        d = trace_to_dict(trace)
+        d = json.loads(emit_json(trace))
         assert d["mode"] == "peg"
         assert d["complete"] is True
         assert len(d["steps"]) == trace.size + 1

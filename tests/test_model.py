@@ -132,6 +132,11 @@ class TestActionsAndModels:
         assert grown.facts == m.facts | {r}
         assert (grown.actions, grown.init, grown.goal) == (m.actions, m.init, m.goal)
 
+    def test_replace_action_needs_an_action_of_that_name(self):
+        nope = GroundAction("nope", frozenset(), frozenset({G}), frozenset(), 1)
+        with pytest.raises(InvalidEditError, match="^model has no action named 'nope'$"):
+            tiny_model().replace_action(nope)
+
 
 def value_pairs() -> dict:
     """Two separately built, equal instances of each model value class."""
