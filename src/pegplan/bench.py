@@ -34,7 +34,7 @@ from .explain import (
     generate_progressive,
 )
 from .metrics import MetricKind
-from .model import _ACTION_SLOTS, _SLOTS, FeatureChange, FeatureKind, Model, _as_fact_set, _feature
+from .model import _ACTION_SLOTS, _SLOTS, FeatureChange, FeatureKind, Model, _as_fact_set
 from .model import _feature_string, _features
 from .planner import BudgetExceededError
 
@@ -45,7 +45,6 @@ __all__ = [
     "RunRecord",
     "SweepRecord",
     "Report",
-    "eligible_features",
     "perturb_model",
     "run_comparison",
     "sweep_missing_prob",
@@ -95,13 +94,9 @@ class PerturbSpec(_PerturbFields):
 
 
 def _eligible(model: Model, kinds: frozenset[FeatureKind]) -> list:
-    """:func:`eligible_features` as (kind, owner, fact) triples."""
+    """The perturbation pool: the features of ``kinds``, as (kind, owner,
+    fact) triples, in sorted render order."""
     return sorted((f for f in _features(model) if f[0] in kinds), key=lambda f: _feature_string(*f))
-
-
-def eligible_features(model: Model, kinds: frozenset[FeatureKind] = DEFAULT_ELIGIBLE_KINDS) -> list:
-    """The perturbation pool: eligible features in sorted render order."""
-    return [_feature(*feature) for feature in _eligible(model, kinds)]
 
 
 def perturb_model(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:

@@ -35,7 +35,7 @@ from .model import (
     apply_change,
     delta,
 )
-from .planner import BudgetExceededError, CompiledModel, Plan, PlanResult, apply_edit, envelope
+from .planner import CompiledModel, Plan, PlanResult, _over_budget, apply_edit, envelope
 from .planner import compile_edits, compile_model, fact_bits, inert_edits, optimal_plan, plan_cost
 
 __all__ = [
@@ -200,7 +200,7 @@ class ReconciliationProblem:
         changes = sorted(self.pool, key=FeatureChange.render)
         edits = compile_edits(self.human, changes, self._bits)
         self._relaxed, constrained = envelope(self._human_state, robot_state)
-        self._relaxed_cost: int | None = None  # cost*(M_r), planned on first use
+        self._floors: dict[MetricKind, int] | None = None  # M_r is planned on first use
         inert = inert_edits(constrained, edits)
         self._changes: tuple[FeatureChange, ...] = tuple(
             c for c, dead in zip(changes, inert) if not dead
@@ -272,12 +272,11 @@ class ReconciliationProblem:
     def _c_min(self, metric: MetricKind) -> int:
         """The lattice's floor for ``metric``: cost*(M_r) for p2, and for p4
         the fewest actions that can cost that much (see the class docstring)."""
-        if self._relaxed_cost is None:
-            self._relaxed_cost = self.plan_result(self._relaxed).plan.cost
-        if metric is MetricKind.P2:
-            return self._relaxed_cost
-        dearest = max((op[3] for op in self._relaxed.ops), default=0)
-        return -(-self._relaxed_cost // dearest) if dearest else 0
+        if self._floors is None:
+            cost = self.plan_result(self._relaxed).plan.cost
+            dearest = max((op[3] for op in self._relaxed.ops), default=0)
+            self._floors = {MetricKind.P2: cost, MetricKind.P4: -(-cost // dearest) if dearest else 0}
+        return self._floors[metric]
 
     # -- reconciliation predicates -------------------------------------
 
@@ -616,21 +615,15 @@ def generate_progressive(
                 return problem._cost_and_plan(state, Plan(optimum, cost))
         return problem._cost_and_plan(state)
 
-    # The floor is taken when a node at value 0 (info[0] = cost 0 for p2,
+    # The floor is read for a node at value 0 (info[0] = cost 0 for p2,
     # info[1] = the empty plan for p4) with a gap left and two or more
-    # changes remaining is first scored.  With fewer changes, its h is the
-    # same at every floor up to the target.
+    # changes remaining.  With fewer changes, its h is the same at every
+    # floor up to the target.
     value = 0 if metric is MetricKind.P2 else 1
-    needs_floor = (
-        variant == "safe" and metric in (MetricKind.P2, MetricKind.P4) and bool(target[value])
-    )
-    c_min = 0
+    floored = variant == "safe" and metric in (MetricKind.P2, MetricKind.P4) and bool(target[value])
 
     def score(info: tuple, remaining: int) -> Fraction | float:
-        nonlocal c_min, needs_floor
-        if needs_floor and remaining > 1 and not info[value]:
-            c_min = problem._c_min(metric)
-            needs_floor = False
+        c_min = problem._c_min(metric) if floored and remaining > 1 and not info[value] else 0
         return heuristic(metric, variant, info, target, remaining, c_min)
 
     # Every h has denominator 1 or 2.
@@ -656,9 +649,7 @@ def generate_progressive(
             continue
         expansions += 1
         if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(
-                f"progressive search exceeded the node budget of {node_budget}"
-            )
+            raise _over_budget("progressive", node_budget)
         if on_node:
             path = tuple(changes[i] for i in seq)
             on_node(problem.apply_changes(path), node.h, path)
@@ -765,7 +756,7 @@ def generate_concise(
                 target = problem.target_plan_cost(state)
         expansions += 1
         if node_budget is not None and expansions > node_budget:
-            raise BudgetExceededError(f"concise search exceeded the node budget of {node_budget}")
+            raise _over_budget("concise", node_budget)
         if problem._is_complete(state, target):
             return _build_trace(
                 problem, "concise", metric, "safe", Fraction(0), seq, expansions, generated,

@@ -76,15 +76,24 @@ def _check_ident(text: str, what: str) -> str:
     return text
 
 
+def _unsigned(text: str) -> int | None:
+    """``text`` as an unsigned integer, or None: every model format writes
+    its costs in ASCII digits, and ``int`` refuses more than 4,300 of them."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
+
+
 class _Value:
     """Base of the slotted, immutable model values: each names its
     constructor's arguments in ``_fields`` and stores them with one ``_set``.
     Equality, hashing and, for the classes that take ``_lt`` as ``__lt__``,
     order follow ``_key``: the ``_fields`` tuple, or a :class:`Feature`'s
-    rendered string.  :class:`Fact` spells out its own, with a cached hash:
-    grounding hashes and compares facts in its inner loop, and the generic
-    ones made each ``ground`` of rover p02 about 10% slower (2.25 to 2.49 ms,
-    best of 5 on Python 3.11, a shared 2-vCPU VM)."""
+    rendered string.  :class:`Fact` orders by ``_lt`` but spells out its
+    equality and a cached hash: grounding hashes and compares facts in its
+    inner loop, and the generic ones made each ``ground`` of rover p02 about
+    10% slower (2.25 to 2.49 ms, best of 5 on Python 3.11, a shared 2-vCPU VM)."""
 
     __slots__ = ()
 
@@ -149,10 +158,7 @@ class Fact(_Value):
             return (self.name, self.args) == (other.name, other.args)
         return NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.args) < (other.name, other.args)
-        return NotImplemented
+    __lt__ = _Value._lt
 
     def __hash__(self) -> int:
         return self._hash
@@ -375,7 +381,7 @@ class Feature(_Value):
 
 
 def parse_feature(text: str) -> Feature:
-    """Inverse of :meth:`Feature.render`."""
+    """Inverse of :meth:`Feature.render`; a cost is ASCII digits."""
     text = text.strip()
     head, sep, rest = text.partition(_RESERVED_INFIX)
     if not sep:
@@ -388,10 +394,10 @@ def parse_feature(text: str) -> Feature:
         if rest.startswith(prefix):
             return Feature(kind, owner=owner, fact=parse_fact(rest[len(prefix):]))
     if rest.startswith("cost-"):
-        value = rest[len("cost-"):]
-        if not value.isdigit():
+        cost = _unsigned(rest[len("cost-"):])
+        if cost is None:
             raise ModelError(f"cannot parse feature {text!r}: cost must be an unsigned integer")
-        return Feature(FeatureKind.COST, owner=owner, cost=int(value))
+        return Feature(FeatureKind.COST, owner=owner, cost=cost)
     raise ModelError(f"cannot parse feature {text!r}: unknown feature kind")
 
 
@@ -426,16 +432,12 @@ def parse_change(text: str) -> FeatureChange:
     return FeatureChange(parts[0], parse_feature(parts[1]))
 
 
-def _feature(kind: FeatureKind, owner: str | None, value: object) -> Feature:
-    """The :class:`Feature` of one :func:`_features` triple."""
-    if kind is FeatureKind.COST:
-        return Feature(kind, owner, cost=value)
-    return Feature(kind, owner, value)
-
-
 def gamma(model: Model) -> frozenset[Feature]:
     """Decompose a model into its feature set."""
-    return frozenset(_feature(*feature) for feature in _features(model))
+    return frozenset(
+        Feature(kind, owner, cost=value) if kind is FeatureKind.COST else Feature(kind, owner, value)
+        for kind, owner, value in _features(model)
+    )
 
 
 def _check_action_names(m1: Model, m2: Model, message: str) -> None:

@@ -4,7 +4,7 @@ Two input dialects are supported: a small typed-STRIPS slice of PDDL
 (``:strips``, flat ``:typing``, ``:action-costs`` with constant increases of
 ``total-cost``), and a line-oriented fixture format for hand-written ground
 models with optional conditional costs.  Both produce :class:`~pegplan.model.Model`
-values.
+values.  Costs, as in feature strings, are unsigned integers in ASCII digits.
 
 PDDL goes through four layers: a regular expression cuts the text into
 tokens (atoms, lowercased and interned, with their line and column);
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import _NO_FACTS, Fact, GroundAction, Model, ModelError, _as_fact_set, _check_ident
-from .model import parse_fact
+from .model import _unsigned, parse_fact
 
 __all__ = [
     "ParseError",
@@ -287,15 +287,11 @@ def _parse_action(form: _Form) -> ActionSchema:
                         raise ParseError(
                             "only (increase (total-cost) <int>) is supported", part.line, part.col
                         )
-                    amount = part[2]
-                    try:  # int() refuses some digits, such as '²', and over 4,300 of them
-                        if _is_form(amount) or not amount.text.isdigit():
-                            raise ValueError
-                        cost = int(amount.text)
-                    except ValueError:
+                    cost = None if _is_form(part[2]) else _unsigned(part[2].text)
+                    if cost is None:
                         raise ParseError(
                             f"non-constant total-cost increase in action {name}", part.line, part.col
-                        ) from None
+                        )
                 else:
                     add.append(_parse_atom(part))
         else:
@@ -545,7 +541,8 @@ def parse_fixture(text: str) -> dict[str, Model]:
     of an action with a cheap cost may end in a parenthesized group of
     facts, and the action becomes two: the base one, and a ``NAME-cheap``
     variant whose preconditions also include the group's facts and whose
-    cost is the cheap cost.
+    cost is the cheap cost.  Both costs are unsigned integers in ASCII
+    digits.  Any malformed text raises :class:`ParseError`.
     """
     models: dict[str, Model] = {}
     name: str | None = None
@@ -614,18 +611,20 @@ def parse_fixture(text: str) -> dict[str, Model]:
             aname = parts[1]
             if aname in declared:
                 raise ParseError(f"duplicate action name {aname!r}", lineno, 1)
-            if not parts[2].isdigit():
+            cost = _unsigned(parts[2])
+            if cost is None:
                 raise ParseError(f"action {aname}: cost must be an unsigned integer", lineno, 1)
             cheap: int | None = None
             if len(parts) == 4:
                 inner = parts[3]
-                if not (inner.startswith("(") and inner.endswith(")") and inner[1:-1].isdigit()):
+                if inner.startswith("(") and inner.endswith(")"):
+                    cheap = _unsigned(inner[1:-1])
+                if cheap is None:
                     raise ParseError(f"action {aname}: malformed cheap cost {inner!r}", lineno, 1)
-                cheap = int(inner[1:-1])
                 cheap_lines[aname] = lineno
             elif len(parts) > 4:
                 raise ParseError(f"action {aname}: trailing content", lineno, 1)
-            header = (aname, int(parts[2]), cheap, lineno)
+            header = (aname, cost, cheap, lineno)
             declared.add(aname)
             continue
         key, sep, rest = lowered.partition(":")

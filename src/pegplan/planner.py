@@ -303,8 +303,9 @@ def optimal_plan(model: Model | CompiledModel, node_budget: int | None = None) -
     return PlanResult(plan is not None, plan, expansions, generated)
 
 
-def _over_budget(node_budget: int) -> BudgetExceededError:
-    return BudgetExceededError(f"optimal-plan search exceeded the node budget of {node_budget}")
+def _over_budget(search: str, node_budget: int) -> BudgetExceededError:
+    """The error of an optimal-plan, progressive or concise ``search`` over budget."""
+    return BudgetExceededError(f"{search} search exceeded the node budget of {node_budget}")
 
 
 def _cheapest_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | None, int, int]:
@@ -329,7 +330,7 @@ def _cheapest_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | N
             continue  # stale entry: a better path to it was queued
         expansions += 1
         if node_budget is not None and expansions > node_budget:
-            raise _over_budget(node_budget)
+            raise _over_budget("optimal-plan", node_budget)
         if state & goal == goal:
             return Plan(path, g), expansions, generated
         n += 1
@@ -367,7 +368,7 @@ def _breadth_first(c: CompiledModel, node_budget: int | None) -> tuple[Plan | No
     for state in queue:  # the loop also visits the states appended below
         expansions += 1
         if node_budget is not None and expansions > node_budget:
-            raise _over_budget(node_budget)
+            raise _over_budget("optimal-plan", node_budget)
         for pre, add, keep, _, name in ops:
             if state & pre != pre:
                 continue

@@ -13,8 +13,9 @@ lattice).  A model's digest and the delta between two models come from
 their full :func:`~pegplan.model.gamma` feature sets (the package renders
 feature strings without features and diffs only the actions that differ),
 and :func:`reconstruct` rebuilds a model from its feature set.  A perturbed
-model comes from one :func:`~pegplan.apply_change` per removed feature (the
-package builds it in one pass).
+model comes from one :func:`~pegplan.apply_change` per removed feature,
+drawn from the robot's feature set (the package draws from feature triples
+and builds the model in one pass).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from pegplan import (
     ReconciliationProblem,
     apply_change,
     delta,
-    eligible_features,
     UnknownActionError,
     optimal_plan,
 )
@@ -55,9 +55,9 @@ def gamma_digest(model: Model) -> str:
 
 def chained_perturbation(robot: Model, spec: PerturbSpec) -> tuple[Model, int, int]:
     """:func:`~pegplan.perturb_model` as a chain of ``remove`` changes: the
-    features of :func:`~pegplan.eligible_features` drawn in its order, each
+    robot's features of the spec's kinds, drawn in sorted render order, each
     removed by :func:`~pegplan.apply_change`."""
-    pool = eligible_features(robot, spec.eligible_kinds)
+    pool = sorted((f for f in gamma(robot) if f.kind in spec.eligible_kinds), key=Feature.render)
     rng = random.Random(spec.seed)
     removed = [f for f in pool if rng.random() < spec.missing_prob]
     model = robot

@@ -15,7 +15,6 @@ from pegplan import (
     MetricKind,
     PerturbSpec,
     ReconciliationProblem,
-    eligible_features,
     emit_csv,
     emit_json,
     generate_concise,
@@ -56,21 +55,19 @@ class TestPerturbSpec:
 
 
 class TestEligibleFeatures:
-    def test_default_pool_has_only_action_structure(self, errand_pair):
-        robot, _ = errand_pair
-        kinds = {f.kind for f in eligible_features(robot)}
-        assert kinds <= DEFAULT_ELIGIBLE_KINDS
-
-    def test_pool_is_sorted_by_rendered_string(self, rover_p01):
-        pool = eligible_features(rover_p01)
-        assert [f.render() for f in pool] == sorted(f.render() for f in pool)
+    """The pool size :func:`perturb_model` returns; the pool's kinds and
+    order are checked against :func:`oracles.chained_perturbation`."""
 
     def test_rover_pool_size(self, rover_p01, rover_p02):
-        assert len(eligible_features(rover_p01)) == 75
-        assert len(eligible_features(rover_p02)) == 81
+        assert perturb_model(rover_p01, PerturbSpec(0.0, 1))[2] == 75
+        assert perturb_model(rover_p02, PerturbSpec(0.0, 1))[2] == 81
 
     def test_errand_pool_size(self, errand_pair):
-        assert len(eligible_features(errand_pair[0])) == 10
+        assert perturb_model(errand_pair[0], PerturbSpec(0.0, 1))[2] == 10
+
+    def test_fully_perturbed_model_has_an_empty_pool(self, errand_pair):
+        model, _, _ = perturb_model(errand_pair[0], PerturbSpec(1.0, 1))
+        assert perturb_model(model, PerturbSpec(0.0, 1))[2] == 0
 
 
 class TestPerturbModel:
@@ -90,7 +87,6 @@ class TestPerturbModel:
         robot, _ = errand_pair
         model, removed, pool = perturb_model(robot, PerturbSpec(1.0, 1))
         assert removed == pool == 10
-        assert not eligible_features(model)
 
     def test_removal_rate_is_unbiased(self, errand_pair):
         robot, _ = errand_pair

@@ -346,6 +346,11 @@ class TestFeatureGrammar:
         with pytest.raises(ModelError):
             parse_feature(bad)
 
+    @pytest.mark.parametrize("cost", ["²", "٣", "３", pytest.param("9" * 5000, id="5000-digits")])
+    def test_cost_must_be_ascii_digits(self, cost):
+        with pytest.raises(ModelError, match="cost must be an unsigned integer$"):
+            parse_feature(f"a-has-cost-{cost}")
+
     def test_cost_feature_requires_cost(self):
         with pytest.raises(ModelError):
             Feature(FeatureKind.COST, owner="go")

@@ -85,6 +85,8 @@ REJECTIONS = [
      "only (increase (total-cost) <int>) is supported", 1, 57),
     ("domain", A + ":effect (increase (total-cost) ²)))",
      "non-constant total-cost increase in action a", 1, 57),
+    ("domain", A + ":effect (increase (total-cost) ٣)))",
+     "non-constant total-cost increase in action a", 1, 57),
     ("domain", A + ":duration 1))", "unsupported action section :duration", 1, 49),
     ("domain", "(domain d)", "expected (define (domain ...) ...)", 1, 1),
     ("domain", "(define (problem d))", "expected (domain <name>)", 1, 1),
@@ -125,6 +127,12 @@ REJECTIONS = [
     ("fixture", "action a 5 (1)\n  pre: (q) p\n  eff+: r\n", "malformed parenthesized group in pre", 2, 1),
     ("fixture", "init: p\naction a\n", "expected 'action NAME COST [(CHEAPCOST)]'", 2, 1),
     ("fixture", "action a 1 (2) x\n", "action a: trailing content", 1, 1),
+    # a cost is ASCII digits, at most the 4,300 that int() reads
+    ("fixture", "init: p\naction a ²\n", "action a: cost must be an unsigned integer", 2, 1),
+    ("fixture", "action a ٣\n", "action a: cost must be an unsigned integer", 1, 1),
+    pytest.param("fixture", "action a " + "9" * 5000, "action a: cost must be an unsigned integer",
+                 1, 1, id="fixture-5000-digit-cost"),
+    ("fixture", "action a 1 (²)\n", "action a: malformed cheap cost '(²)'", 1, 1),
 ]
 
 
