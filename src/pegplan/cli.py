@@ -37,7 +37,7 @@ from .explain import (
     is_explanation,
 )
 from .metrics import MetricKind
-from .model import FeatureKind, Model, ModelError, parse_change
+from .model import FeatureKind, Model, ModelError, _unsigned, parse_change
 from .pddl import GroundingError, ParseError, ground, parse_domain, parse_fixture, parse_problem
 from .planner import PlanningError, optimal_plan
 
@@ -79,10 +79,10 @@ _SEED_DIGITS = 1000
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _unsigned(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _seed(text: str) -> int:

@@ -163,7 +163,7 @@ class ReconciliationProblem:
         self._witnesses: list[tuple[int, ...]] = []  # as op indices
         self._bits = fact_bits(universe)
 
-        robot_state = self._compile(self.robot)
+        robot_state = compile_model(self.robot, self._bits)
         robot_result = self.robot._plan_result
         if robot_result is None or (
             node_budget is not None and node_budget < robot_result.expansions
@@ -196,7 +196,7 @@ class ReconciliationProblem:
         # the relevant changes in render order, so heap tie-breaks compare
         # change indices where they would compare strings.  Render order is
         # the changes' own order; keying the sort on it skips their ``__lt__``.
-        self._human_state = self._compile(self.human)
+        self._human_state = compile_model(self.human, self._bits)
         changes = sorted(self.pool, key=FeatureChange.render)
         edits = compile_edits(self.human, changes, self._bits)
         self._relaxed, constrained = envelope(self._human_state, robot_state)
@@ -214,7 +214,7 @@ class ReconciliationProblem:
         # human's cost until it is applied, so whether a pool change raises
         # cost is the same at every node that lacks it.
         raising = [_is_cost_increasing(c, self.human) for c in self._changes]
-        self._raising_mask = sum(1 << i for i, up in enumerate(raising) if up)
+        self._raising = tuple(i for i, up in enumerate(raising) if up)
         # Feature order with the cost-raising changes first (a stable sort).
         self._raising_first: tuple[int, ...] = tuple(
             sorted(self._feature_order, key=lambda i: not raising[i])
@@ -222,12 +222,8 @@ class ReconciliationProblem:
 
     # -- memoized per-model queries ------------------------------------
 
-    def _compile(self, model: Model | CompiledModel) -> CompiledModel:
-        """``model`` in the problem's fact encoding; a compiled model as is."""
-        return compile_model(model, self._bits)
-
     def plan_result(self, model: Model | CompiledModel) -> PlanResult:
-        state = self._compile(model)
+        state = compile_model(model, self._bits)
         result = self._plan_cache.get(state)
         if result is None:
             result = optimal_plan(state, node_budget=self.node_budget)
@@ -251,15 +247,14 @@ class ReconciliationProblem:
         explained; otherwise the model's canonical plan (see
         :func:`~pegplan.planner.optimal_plan`), and () when unsolvable.
         """
-        state = self._compile(model)
+        state = compile_model(model, self._bits)
         if plan is None:
             result = self.plan_result(state)
             if not result.solvable:
                 return 0, (), None
             plan = result.plan
-        if self.target_plan_cost(state) == plan.cost:
-            return plan.cost, self.robot_plan.actions, plan.actions
-        return plan.cost, plan.actions, plan.actions
+        anchored = self.robot_plan if self.target_plan_cost(state) == plan.cost else plan
+        return plan.cost, anchored.actions, plan.actions
 
     @cached_property
     def _human_strings(self) -> list[str]:
@@ -282,7 +277,7 @@ class ReconciliationProblem:
 
     def cost_gap(self, model: Model | CompiledModel) -> float | int:
         """cost(robot plan, model) - cost*(model); inf when infeasible."""
-        state = self._compile(model)
+        state = compile_model(model, self._bits)
         target = self.target_plan_cost(state)
         if target is None:
             return inf
@@ -301,7 +296,7 @@ class ReconciliationProblem:
         than the target becomes a witness; the list is kept most recently
         useful first.
         """
-        state = self._compile(model)
+        state = compile_model(model, self._bits)
         return self._is_complete(state, self.target_plan_cost(state))
 
     def _is_complete(self, state: CompiledModel, target: int | None) -> bool:
@@ -403,8 +398,9 @@ class ExplanationTrace(NamedTuple):
     all its searches so far: the robot model, even when its result was
     reused, and the most relaxed model M_r once a search has needed its
     floor (see :class:`ReconciliationProblem`).  Models refuted by a
-    witness plan, and progressive children whose optimal cost follows from
-    their parent's (see :func:`generate_progressive`), are not planned.
+    witness plan, and progressive children that a known subset one
+    cost-raising change below them decides (see
+    :func:`generate_progressive`), are not planned.
     """
 
     mode: str  # "peg" | "concise"
@@ -553,13 +549,15 @@ def generate_progressive(
     valid parent only an add/delete overlap on the edited action can fail,
     which the edit reports as None.  So each subset is derived and scored
     once; another path to it is priced from the two nodes' (cost*, plan)
-    alone.  A child made by a cost-raising change
-    (:func:`_is_cost_increasing`) keeps a subset of its parent's plans,
-    none of them cheaper, so it is not planned when an unsolvable parent
-    makes it unsolvable, or when the parent's canonical plan keeps its cost
-    there.  Then the child's optimal plans are among the parent's and
-    include that plan, so it is the child's canonical plan too, at the
-    parent's cost*.
+    alone.  For a cost-raising change j in a subset C
+    (:func:`_is_cost_increasing`), C keeps a subset of C - j's plans, none
+    of them cheaper.  So C is not planned when a known node C - j is
+    unsolvable, which makes C unsolvable, or when C - j's canonical plan
+    keeps its cost in C.  Then C's optimal plans are among C - j's and
+    include that plan, so it is C's canonical plan too, at C - j's cost*.
+    A node's info depends on its subset alone, so this holds for every
+    known C - j, not only for C's parent, and C is planned only when no
+    such node decides it.
 
     An inert change costs 0 effort, so with ``epsilon`` > 0 no explanation
     of minimum effort holds one.  With ``epsilon`` = 0 an explanation padded
@@ -597,22 +595,23 @@ def generate_progressive(
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    changes = problem._changes
     edits = problem._edits
     target_cost = problem.robot_plan.cost
     target = (target_cost, problem.robot_plan.actions)
-    on_node = instrument.on_node if instrument else None
-    on_edge = instrument.on_edge if instrument else None
+    on_node, on_edge = instrument or (None, None)
     node_budget = problem.node_budget
 
-    def child_info(parent: _Node, i: int, state: CompiledModel) -> tuple:
-        """The child's info, planning it only where the parent's cannot decide it."""
-        if problem._raising_mask >> i & 1:
-            cost, _, optimum = parent.info
-            if optimum is None:
-                return parent.info  # no plan to lose: still unsolvable
-            if plan_cost(tuple(problem._op_index[a] for a in optimum), state) == cost:
-                return problem._cost_and_plan(state, Plan(optimum, cost))
+    def child_info(child_mask: int, state: CompiledModel) -> tuple:
+        """The child's info, planning it only where no known subset one
+        cost-raising change below it decides it."""
+        for j in problem._raising:
+            below = nodes.get(child_mask ^ 1 << j) if child_mask >> j & 1 else None
+            if below is not None:
+                cost, _, optimum = below.info
+                if optimum is None:
+                    return below.info  # no plan to lose: still unsolvable
+                if plan_cost(tuple(problem._op_index[a] for a in optimum), state) == cost:
+                    return problem._cost_and_plan(state, Plan(optimum, cost))
         return problem._cost_and_plan(state)
 
     # The floor is read for a node at value 0 (info[0] = cost 0 for p2,
@@ -631,7 +630,7 @@ def generate_progressive(
     epsilon_key = _scaled(epsilon, scale)
 
     root_info = problem._cost_and_plan(problem._human_state)
-    root_h = score(root_info, len(changes))
+    root_h = score(root_info, len(problem._changes))
     root_key = _scaled(root_h, scale)
     nodes = {0: _Node(0, (), problem._human_state, root_h, root_key, root_info)}
     # (f, h, size, pool-index sequence, candidate-position sequence, subset),
@@ -651,7 +650,7 @@ def generate_progressive(
         if node_budget is not None and expansions > node_budget:
             raise _over_budget("progressive", node_budget)
         if on_node:
-            path = tuple(changes[i] for i in seq)
+            path = tuple(problem._changes[i] for i in seq)
             on_node(problem.apply_changes(path), node.h, path)
         if node.info[0] == target_cost == problem.target_plan_cost(node.state):
             return _build_trace(
@@ -668,7 +667,7 @@ def generate_progressive(
                     # e.g. adding a delete effect before the matching add
                     # effect was removed; the change stays available further down
                     continue
-                info = child_info(node, i, state)
+                info = child_info(child_mask, state)
                 child_h = score(info, len(remaining) - 1)
                 h_key = _scaled(child_h, scale)
             else:
@@ -736,7 +735,7 @@ def generate_concise(
     # the states, adds a need or changes a cost.
     plan_ops = set(problem._robot_steps)
     moves_target = [i is None or i in plan_ops for _, i, _ in edits]
-    grows = [kind is not FeatureKind.COST and not problem._raising_mask >> i & 1
+    grows = [kind is not FeatureKind.COST and i not in problem._raising
              for i, (kind, _, _) in enumerate(edits)]
     # (pool-index sequence, subset, the parent's compiled model and robot
     # plan cost; the root's own)

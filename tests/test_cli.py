@@ -396,6 +396,19 @@ class TestBenchAndSweep:
         assert dispatch(argv) == 0
         assert capsys.readouterr().out == unset
 
+    @pytest.mark.parametrize("text", ["٣", "３", "1_0", " 3"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [("plan", "--node-budget"), ("bench", "--runs"), ("bench", "--seed"), ("sweep", "--seed")],
+    )
+    def test_integer_options_take_ascii_digits_only(self, command, option, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, "--fixture", FIXTURE, option, text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"pegplan {command}: error: argument {option}: expected an integer, got {text!r}"
+        )
+
     def test_negative_node_budget_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["plan", "--fixture", FIXTURE, "--node-budget", "-1"])

@@ -39,6 +39,9 @@ from oracles import (
     gamma_is_explanation,
     random_edit,
     random_reconciliation,
+    simulated_cost,
+    subset_model,
+    uniform_cost_plan,
 )
 
 P, G = Fact("p"), Fact("g")
@@ -400,6 +403,51 @@ class TestProgressive:
             trace = generate_progressive(problem, metric=MetricKind.P1)
             net = abs(trace.steps[0].cost_star - trace.steps[-1].cost_star)
             assert trace.sum_rho >= net
+
+
+class TestLowerNeighbourRule:
+    """``generate_progressive`` does not plan a subset C that a known subset
+    C - j decides, for a cost-raising change j in C.  These tests check that
+    rule on plans alone, and that it spares most planner calls."""
+
+    @staticmethod
+    def _problems(rover_p01):
+        rng = random.Random(61)
+        for _ in range(60):
+            yield constrained_reconciliation(rng)
+        for seed in (3, 5):  # five relevant changes each, two or three raising
+            human, _, _ = perturb_model(rover_p01, PerturbSpec(0.1, seed))
+            yield ReconciliationProblem(rover_p01, human)
+
+    def test_a_lower_neighbour_decides_by_its_plans(self, rover_p01):
+        decided = unsolvable = 0
+        for problem in self._problems(rover_p01):
+            changes = problem._changes
+            models = {}
+            for mask in range(1 << len(changes)):
+                model = subset_model(
+                    problem.human, [c for i, c in enumerate(changes) if mask >> i & 1]
+                )
+                if model is not None:
+                    models[mask] = model, uniform_cost_plan(model)
+            for mask, (model, plan) in models.items():
+                for j in problem._raising:
+                    if not mask >> j & 1 or mask ^ 1 << j not in models:
+                        continue
+                    below = models[mask ^ 1 << j][1]
+                    if below is None:
+                        unsolvable += 1
+                        assert plan is None
+                    elif simulated_cost(below[1], model) == below[0]:
+                        decided += 1
+                        assert plan == below
+        assert decided > 100 and unsolvable > 10
+
+    def test_rover_p02_plans_few_models(self, rover_p02):
+        human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 5))
+        trace = generate_progressive(ReconciliationProblem(rover_p02, human))
+        # a rule that asks only each child's parent plans 2,640 models here
+        assert trace.planner_calls <= 80
 
 
 class TestIntegerKeys:
