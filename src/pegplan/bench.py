@@ -12,8 +12,8 @@ same problem.  A node budget blown anywhere in that pipeline gives a failed
 record rather than an error.  :func:`run_comparison` and
 :func:`sweep_missing_prob` only lay out their grids and map the traces to
 their record fields.  The sweep checks its whole grid (bounds in [0, 1], a
-positive step, at most :data:`MAX_SWEEP_PROBES` probes) before the first
-probe runs.
+positive step, at most :data:`MAX_SWEEP_PROBES` probes), and the comparison
+its run count (at most as many), before the first probe runs.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ __all__ = [
 # goal, and costs are left alone unless explicitly requested.
 DEFAULT_ELIGIBLE_KINDS = frozenset(_ACTION_SLOTS)
 
-# Largest missing-probability grid a sweep accepts; each probe is a full
-# progressive search, so a finer grid is a typo rather than a study.
+# Most probes a study accepts: points of a sweep's missing-probability grid,
+# or runs of a comparison.  Each is a full search, so more is a typo rather
+# than a study.
 MAX_SWEEP_PROBES = 1000
 
 # Costs are never deleted: every other kind of feature may be.
@@ -249,8 +250,11 @@ def run_comparison(
 
     Run ``i`` perturbs with seed ``spec.seed + i``.  A run whose searches
     blow the node budget is kept, flagged as failed, and excluded from the
-    averages.
+    averages.  More than :data:`MAX_SWEEP_PROBES` runs raise
+    :class:`ValueError` before any run.
     """
+    if runs > MAX_SWEEP_PROBES:
+        raise ValueError(f"{runs} runs requested; at most {MAX_SWEEP_PROBES} are allowed")
     records = []
     for i in range(runs):
         run_spec = PerturbSpec(spec.missing_prob, spec.seed + i, spec.eligible_kinds)

@@ -234,13 +234,9 @@ class ReconciliationProblem:
         """Cost of the robot plan in ``model``, or None when infeasible."""
         return plan_cost(self._robot_steps, model)
 
-    def _cost_and_plan(
-        self, model: Model | CompiledModel, plan: Plan | None = None
-    ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None]:
-        """cost*(model), 0 when unsolvable, the anchored plan, and the
-        canonical plan (None when unsolvable).  A caller that has already
-        proven ``plan`` the model's canonical plan passes it, and the model
-        is not planned.
+    def _cost_and_plan(self, model: Model | CompiledModel) -> tuple[int, tuple[str, ...], bool]:
+        """cost*(model), 0 when unsolvable, the anchored plan, and whether
+        the model is solvable.
 
         The anchored plan is the robot plan when it is among the model's
         optima, so a finished reconciliation lands exactly on the plan being
@@ -248,13 +244,11 @@ class ReconciliationProblem:
         :func:`~pegplan.planner.optimal_plan`), and () when unsolvable.
         """
         state = compile_model(model, self._bits)
+        plan = self.plan_result(state).plan
         if plan is None:
-            result = self.plan_result(state)
-            if not result.solvable:
-                return 0, (), None
-            plan = result.plan
+            return 0, (), False
         anchored = self.robot_plan if self.target_plan_cost(state) == plan.cost else plan
-        return plan.cost, anchored.actions, plan.actions
+        return plan.cost, anchored.actions, True
 
     @cached_property
     def _human_strings(self) -> list[str]:
@@ -444,8 +438,8 @@ class _Node(NamedTuple):
     state: CompiledModel  # the subset's model
     h: Fraction  # as the heuristic returns it, for the instrument
     h_key: int  # h, scaled
-    # (cost*, anchored plan, canonical plan or None when unsolvable)
-    info: tuple[int, tuple[str, ...], tuple[str, ...] | None]
+    # (cost*, anchored plan, solvable), as ReconciliationProblem._cost_and_plan
+    info: tuple[int, tuple[str, ...], bool]
 
 
 def _scaled(value: Fraction, scale: int) -> int:
@@ -491,13 +485,13 @@ def _build_trace(
             else:
                 del strings[bisect_left(strings, feat.sort_index)]
             state = apply_edit(state, problem._edits[seq[index - 1]])
-        cost_star, plan, optimum = problem._cost_and_plan(state)
+        cost_star, plan, solvable = problem._cost_and_plan(state)
         steps.append(
             StepRecord(
                 index=index,
                 change=change,
                 model_digest=_digest(strings),
-                solvable=optimum is not None,
+                solvable=solvable,
                 cost_star=cost_star,
                 plan=plan,
                 rho=rho(metric, prev, (cost_star, plan)) if index else 0,
@@ -539,9 +533,9 @@ def generate_progressive(
     follows the candidate ordering earliest is kept.  A node at or below
     the robot cost tries the cost-raising changes first (they close the
     usual gap faster), each part keeping the feature order.  The first
-    complete node expanded is returned: one whose cost* and the robot
-    plan's cost there both equal the robot cost.  A feasible robot plan
-    makes the model solvable, so this test plans nothing.
+    complete node expanded is returned: one whose info is (robot cost,
+    robot plan, solvable).  This test plans nothing, and the flag keeps an
+    unsolvable node's (0, ()) from passing for an empty robot plan.
 
     A node holds its subset's compiled model, derived from its parent's
     with one edit (:func:`~pegplan.planner.apply_edit`).  That model
@@ -551,13 +545,15 @@ def generate_progressive(
     once; another path to it is priced from the two nodes' (cost*, plan)
     alone.  For a cost-raising change j in a subset C
     (:func:`_is_cost_increasing`), C keeps a subset of C - j's plans, none
-    of them cheaper.  So C is not planned when a known node C - j is
-    unsolvable, which makes C unsolvable, or when C - j's canonical plan
-    keeps its cost in C.  Then C's optimal plans are among C - j's and
-    include that plan, so it is C's canonical plan too, at C - j's cost*.
-    A node's info depends on its subset alone, so this holds for every
-    known C - j, not only for C's parent, and C is planned only when no
-    such node decides it.
+    of them cheaper.  So a known node C - j decides C, which takes C - j's
+    info unchanged without planning, when C - j is unsolvable, so that C is
+    too, or when C - j's anchored plan, an optimal plan of C - j, keeps its
+    cost in C.  Then C has C - j's cost*, its optimal plans are among
+    C - j's and include that plan, and the robot plan, whose cost can only
+    rise, is optimal in C exactly when it is in C - j; otherwise C - j's
+    anchored plan is its canonical plan, and so C's.  A node's info depends
+    on its subset alone, so this holds for every known C - j, not only for
+    C's parent, and C is planned only when no such node decides it.
 
     An inert change costs 0 effort, so with ``epsilon`` > 0 no explanation
     of minimum effort holds one.  With ``epsilon`` = 0 an explanation padded
@@ -607,11 +603,10 @@ def generate_progressive(
         for j in problem._raising:
             below = nodes.get(child_mask ^ 1 << j) if child_mask >> j & 1 else None
             if below is not None:
-                cost, _, optimum = below.info
-                if optimum is None:
-                    return below.info  # no plan to lose: still unsolvable
-                if plan_cost(tuple(problem._op_index[a] for a in optimum), state) == cost:
-                    return problem._cost_and_plan(state, Plan(optimum, cost))
+                cost, anchored, solvable = below.info
+                steps = tuple(problem._op_index[a] for a in anchored)
+                if not solvable or plan_cost(steps, state) == cost:
+                    return below.info
         return problem._cost_and_plan(state)
 
     # The floor is read for a node at value 0 (info[0] = cost 0 for p2,
@@ -652,7 +647,7 @@ def generate_progressive(
         if on_node:
             path = tuple(problem._changes[i] for i in seq)
             on_node(problem.apply_changes(path), node.h, path)
-        if node.info[0] == target_cost == problem.target_plan_cost(node.state):
+        if node.info == (*target, True):
             return _build_trace(
                 problem, "peg", metric, variant, epsilon, seq, expansions, generated, start
             )

@@ -11,6 +11,7 @@ import pytest
 from pegplan import bench
 from pegplan import (
     DEFAULT_ELIGIBLE_KINDS,
+    MAX_SWEEP_PROBES,
     FeatureKind,
     MetricKind,
     PerturbSpec,
@@ -137,6 +138,17 @@ class TestRunComparison:
         for rec in report.records:
             assert not rec.failed
             assert rec.peg_sum_rho_p2 <= rec.concise_sum_rho_p2
+
+    def test_too_many_comparison_runs_rejected(self, errand_pair, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before its count was checked")
+
+        monkeypatch.setattr(bench, "perturb_model", no_run)
+        robot, _ = errand_pair
+        with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_PROBES}"):
+            run_comparison(robot, runs=MAX_SWEEP_PROBES + 1)
+        with pytest.raises(AssertionError, match="a run started"):
+            run_comparison(robot, runs=MAX_SWEEP_PROBES)
 
     def test_budget_blowups_are_flagged_not_raised(self, rover_p01):
         report = run_comparison(rover_p01, spec=PerturbSpec(0.2, 1), runs=2, node_budget=1)

@@ -379,6 +379,16 @@ class TestBenchAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "probes" in err
 
+    def test_too_many_bench_runs_fail_before_any_run(self, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("pegplan.bench.perturb_model", no_run)
+        rc = dispatch(["bench", "--fixture", FIXTURE, "--runs", "1000000000"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "runs" in err[0]
+
     def test_sweep_csv_grid(self, capsys):
         rc = dispatch([
             "sweep", "--fixture", FIXTURE, "--p-lo", "0.1", "--p-hi", "0.3",

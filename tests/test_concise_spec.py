@@ -304,8 +304,8 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
     """Every expanded node's h equals the h of its planned model, at the
     floor c_min of the problem's most relaxed model, and every node's info,
     generated or expanded, equals the planner's: cost*, the anchored plan
-    and the canonical plan, also where the search inferred them without
-    planning."""
+    and whether the model is solvable, also where the search inferred them
+    without planning."""
     created = _record_nodes(monkeypatch)
     rng = random.Random(47)
     unplanned = 0
@@ -340,7 +340,7 @@ def test_progressive_inference_agrees_with_planning_every_model(monkeypatch):
                     assert h == expected, (i, metric, variant)
                 for node in created:
                     assert node.info == fresh._cost_and_plan(node.state), (i, metric, variant)
-                    if node.info[2] is not None and node.state not in problem._plan_cache:
+                    if node.info[2] and node.state not in problem._plan_cache:
                         inferred += 1  # solvable, and its info proven without planning
     assert unplanned > 0 and inferred > 0
 

@@ -317,6 +317,21 @@ class TestProgressive:
         assert trace.complete
         assert len(trace.steps) == 1
 
+    def test_an_empty_robot_plan_is_not_met_by_an_unsolvable_model(self):
+        # The robot's goal holds in its init, so its plan is () at cost 0.
+        # The human lacks that init fact and cannot reach g.  An unsolvable
+        # model also reads cost 0 and plan (), so a completeness test that
+        # ignored solvability would return the empty explanation.
+        action = GroundAction("a", frozenset({P}), frozenset({G}), frozenset(), 1)
+        robot = Model(frozenset({P, G}), (action,), frozenset({G}), frozenset({G}))
+        human = Model(frozenset({P, G}), (action,), frozenset(), frozenset({G}))
+        problem = ReconciliationProblem(robot, human)
+        assert problem.robot_plan.actions == () and problem.robot_plan.cost == 0
+        for metric in MetricKind:
+            trace = generate_progressive(problem, metric=metric)
+            assert [c.render() for c in trace.changes] == ["add init-has-g"], metric
+            assert trace.complete and not trace.steps[0].solvable
+
     def test_final_step_lands_on_the_robot_plan(self, errand_pair):
         problem = errand_problem(errand_pair)
         for metric in MetricKind:
@@ -419,8 +434,16 @@ class TestLowerNeighbourRule:
             human, _, _ = perturb_model(rover_p01, PerturbSpec(0.1, seed))
             yield ReconciliationProblem(rover_p01, human)
 
+    @staticmethod
+    def _anchored(problem, model, planned) -> tuple[str, ...]:
+        """The anchored plan of ``model``, whose ``uniform_cost_plan`` is
+        ``planned``: the robot plan when it is optimal there, else the
+        canonical plan."""
+        robot = problem.robot_plan.actions
+        return robot if simulated_cost(robot, model) == planned[0] else planned[1]
+
     def test_a_lower_neighbour_decides_by_its_plans(self, rover_p01):
-        decided = unsolvable = 0
+        decided = unsolvable = inherited = by_robot_plan = 0
         for problem in self._problems(rover_p01):
             changes = problem._changes
             models = {}
@@ -434,20 +457,32 @@ class TestLowerNeighbourRule:
                 for j in problem._raising:
                     if not mask >> j & 1 or mask ^ 1 << j not in models:
                         continue
-                    below = models[mask ^ 1 << j][1]
+                    below_model, below = models[mask ^ 1 << j]
                     if below is None:
                         unsolvable += 1
                         assert plan is None
-                    elif simulated_cost(below[1], model) == below[0]:
+                        continue
+                    if simulated_cost(below[1], model) == below[0]:
                         decided += 1
                         assert plan == below
+                    # C inherits C - j's info when C - j's anchored plan keeps
+                    # its cost in C
+                    anchored = self._anchored(problem, below_model, below)
+                    if simulated_cost(anchored, model) == below[0]:
+                        inherited += 1
+                        by_robot_plan += anchored != below[1]
+                        assert plan[0] == below[0]
+                        assert self._anchored(problem, model, plan) == anchored
         assert decided > 100 and unsolvable > 10
+        assert inherited > 100 and by_robot_plan > 0
 
     def test_rover_p02_plans_few_models(self, rover_p02):
         human, _, _ = perturb_model(rover_p02, PerturbSpec(0.2, 5))
         trace = generate_progressive(ReconciliationProblem(rover_p02, human))
-        # a rule that asks only each child's parent plans 2,640 models here
-        assert trace.planner_calls <= 80
+        # a rule that asks only each child's parent plans 2,640 models here,
+        # and one that tests C - j's canonical plan rather than its anchored
+        # plan plans 75
+        assert trace.planner_calls <= 70
 
 
 class TestIntegerKeys:
